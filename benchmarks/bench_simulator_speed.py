@@ -1,44 +1,25 @@
 """Simulator throughput — cycles simulated per wall-clock second.
 
-Tracks three things on the Figure 8 rays-per-second workload:
-
-- the event-driven fast-forward path (docs/architecture.md,
-  "Event-driven fast-forward"): each mode runs in both clock modes and
-  the bench emits cycles/s for each, so regressions in either the exact
-  cycle loop or the fast-forward path show up in BENCH output;
-- the executor backends (docs/architecture.md, "Executor backends"):
-  each mode runs under both the reference interpreter and the batched
-  structure-of-arrays backend, asserts their ``RunStats`` digests are
-  byte-identical, and emits the batched/reference speedup ratio;
-- the warp schedulers (docs/architecture.md, "Warp schedulers"): each
-  mode runs under both the per-cycle scan and the event-driven calendar
-  scheduler — on the preset's own machine and on the paper's 30-SM
-  machine, where sleeping whole SMs between wakes is the structural win
-  — asserts digest identity, and emits the calendar/scan speedup.
-  Scheduler pairs are timed interleaved (scan, calendar, scan, ...) so
-  thermal and allocator drift cancels out of the ratio.
+Times the Figure 8 rays-per-second workload in both clock modes
+(docs/architecture.md, "Event-driven fast-forward") and emits cycles/s
+for each, so a slowdown in the exact cycle loop or in the fast-forward
+path shows up in BENCH output. The bench asserts only that both clocks
+simulate the same number of cycles and that the fast clock is not much
+slower than exact; bit-identity of the two clocks is enforced
+exhaustively by tests/simt/test_fastforward_differential.py.
 
 Results land in ``BENCH_simulator_speed.json`` at the repo root
-(refresh with ``REPRO_UPDATE_BENCH=1``). The ``presets`` section is the
-regression baseline: config digest, git revision, and cycles/s per
-backend and scheduler at the time it was generated. Each refresh also
-*appends* an entry to the ``history`` section (git revision + cycles/s
-per scheduler x executor), so the file accumulates a per-revision
-performance trajectory instead of overwriting it. On every later run
-the bench compares the *speedup ratios* — not absolute cycles/s, which
-vary by machine — against the committed baseline for the same preset
-and fails on a >20% regression. Absolute timings are provenance only.
-
-Correctness of all three axes (bit-identical stats) is enforced
-exhaustively by tests/simt/test_fastforward_differential.py,
-test_backend_differential.py, and test_scheduler_differential.py; this
-bench re-checks only the cheap digest identity on the workload it
-actually times.
+(refresh with ``REPRO_UPDATE_BENCH=1``). The ``presets`` section records
+the config digest, git revision, and cycles/s per clock at the time it
+was generated. Each refresh also *appends* an entry to the ``history``
+section (git revision + cycles/s per clock), so the file accumulates a
+per-revision trajectory instead of overwriting it. Absolute timings vary
+by machine and are provenance only; the end-to-end speed measurement
+with repeats and spread is ``perfbench`` (``BENCHMARK.json``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -49,8 +30,7 @@ import time
 import pytest
 
 from repro.analysis.report import format_table
-from repro.api import PAPER_SMS, config_for_mode, simulate
-from repro.harness.sweep import run_stats_digest
+from repro.api import config_for_mode, simulate
 from repro.results.history import upsert_history
 
 #: The Figure 8 modes (traditional block/warp scheduling + dynamic
@@ -58,18 +38,9 @@ from repro.results.history import upsert_history
 MODES = ("pdom_block", "pdom_warp", "spawn")
 SCENE = "conference"
 
-BACKENDS = ("reference", "batched")
-
-SCHEDULERS = ("scan", "calendar")
-
 #: Committed benchmark record, at the repo root next to ROADMAP.md.
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / \
     "BENCH_simulator_speed.json"
-
-#: A measured batched/reference ratio below committed * (1 - tolerance)
-#: fails the bench. Ratios are measured back-to-back in one process, so
-#: machine speed cancels; 20% absorbs scheduler jitter.
-REGRESSION_TOLERANCE = 0.20
 
 
 def _git_rev() -> str:
@@ -106,98 +77,32 @@ def _config_digest(preset) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _time_mode(mode: str, workload, *, fast_forward: bool = True,
-               executor: str = "reference", scheduler: str = "scan"):
+def _time_mode(mode: str, workload, *, fast_forward: bool):
     """Best-of-2 cycles/s (absorbs one-off warm-up) plus the result."""
     best = float("inf")
     result = None
     for _ in range(2):
         start = time.perf_counter()
-        result = simulate(workload, mode, fast_forward=fast_forward,
-                          executor=executor, scheduler=scheduler)
+        result = simulate(workload, mode, fast_forward=fast_forward)
         best = min(best, time.perf_counter() - start)
     return result.stats.cycles / best, result
-
-
-def _with_sms(workload, num_sms: int):
-    """The same workload on a machine with ``num_sms`` SMs."""
-    preset = dataclasses.replace(workload.preset, num_sms=num_sms)
-    return dataclasses.replace(workload, preset=preset)
-
-
-def _time_scheduler_pair(mode: str, workload, rounds: int = 3) -> dict:
-    """Interleaved best-of-``rounds`` cycles/s for scan vs calendar.
-
-    Alternating the schedulers within each round (rather than timing one
-    after the other) cancels thermal and allocator drift out of the
-    ratio, which is what the regression gate compares. Digest identity
-    is asserted as a side effect."""
-    best = dict.fromkeys(SCHEDULERS, float("inf"))
-    digests = {}
-    for _ in range(rounds):
-        for scheduler in SCHEDULERS:
-            start = time.perf_counter()
-            result = simulate(workload, mode, scheduler=scheduler)
-            best[scheduler] = min(best[scheduler],
-                                  time.perf_counter() - start)
-            digests[scheduler] = run_stats_digest(result.stats)
-    assert digests["calendar"] == digests["scan"], (
-        f"{mode}: schedulers are not byte-identical")
-    cycles = digests["scan"]["cycles"]
-    return {scheduler: cycles / best[scheduler] for scheduler in SCHEDULERS}
 
 
 def _run_all(workloads):
     workload = workloads(SCENE)
     rows = []
     for mode in MODES:
-        rates = {}
-        digests = {}
-        for backend in BACKENDS:
-            rates[backend], result = _time_mode(mode, workload,
-                                                executor=backend)
-            digests[backend] = run_stats_digest(result.stats)
-        calendar_rate, calendar_result = _time_mode(mode, workload,
-                                                    scheduler="calendar")
+        fast_rate, fast_result = _time_mode(mode, workload,
+                                            fast_forward=True)
         exact_rate, exact_result = _time_mode(mode, workload,
                                               fast_forward=False)
-        assert digests["batched"] == digests["reference"], (
-            f"{mode}: backends are not byte-identical")
-        assert run_stats_digest(calendar_result.stats) == \
-            digests["reference"], f"{mode}: schedulers are not byte-identical"
-        assert exact_result.stats.cycles == digests["reference"]["cycles"]
+        assert exact_result.stats.cycles == fast_result.stats.cycles
         rows.append({
             "mode": mode,
-            "cycles": digests["reference"]["cycles"],
-            "reference_cyc_per_s": round(rates["reference"]),
-            "batched_cyc_per_s": round(rates["batched"]),
-            "batched_speedup": round(rates["batched"] / rates["reference"],
-                                     3),
-            "calendar_cyc_per_s": round(calendar_rate),
-            "calendar_speedup": round(calendar_rate / rates["reference"], 3),
+            "cycles": fast_result.stats.cycles,
+            "fast_cyc_per_s": round(fast_rate),
             "exact_cyc_per_s": round(exact_rate),
-            "fast_vs_exact": round(rates["reference"] / exact_rate, 2),
-        })
-    return {"modes": rows, "scheduler_multi_sm": _run_scheduler_rows(workload)}
-
-
-def _run_scheduler_rows(workload):
-    """Scan vs calendar on the paper's 30-SM machine (same ray batch).
-
-    A single-SM preset is issue-bound — the scan is 2-5 probes per pick
-    and the calendar's structural win (sleeping whole SMs between wake
-    events) cannot engage — so the scheduler is additionally timed at
-    the paper's SM count, where it is the headline number."""
-    multi = _with_sms(workload, PAPER_SMS)
-    rows = []
-    for mode in MODES:
-        rates = _time_scheduler_pair(mode, multi)
-        rows.append({
-            "mode": mode,
-            "num_sms": PAPER_SMS,
-            "scan_cyc_per_s": round(rates["scan"]),
-            "calendar_cyc_per_s": round(rates["calendar"]),
-            "calendar_speedup": round(rates["calendar"] / rates["scan"], 3),
+            "fast_vs_exact": round(fast_rate / exact_rate, 2),
         })
     return rows
 
@@ -208,37 +113,22 @@ def _load_committed() -> dict:
     return json.loads(BENCH_PATH.read_text())
 
 
-def _bench_document(preset, rows, scheduler_rows) -> dict:
+def _bench_document(preset, rows) -> dict:
     return {
         "git_rev": _git_rev(),
         "config_digest": _config_digest(preset),
         "modes": {
             row["mode"]: {
                 "cycles": row["cycles"],
-                "reference_cyc_per_s": row["reference_cyc_per_s"],
-                "batched_cyc_per_s": row["batched_cyc_per_s"],
-                "batched_speedup": row["batched_speedup"],
-                "calendar_cyc_per_s": row["calendar_cyc_per_s"],
-                "calendar_speedup": row["calendar_speedup"],
+                "fast_cyc_per_s": row["fast_cyc_per_s"],
                 "exact_cyc_per_s": row["exact_cyc_per_s"],
             }
             for row in rows
         },
-        "scheduler_multi_sm": {
-            "num_sms": PAPER_SMS,
-            "modes": {
-                row["mode"]: {
-                    "scan_cyc_per_s": row["scan_cyc_per_s"],
-                    "calendar_cyc_per_s": row["calendar_cyc_per_s"],
-                    "calendar_speedup": row["calendar_speedup"],
-                }
-                for row in scheduler_rows
-            },
-        },
     }
 
 
-def _append_history(committed: dict, preset, rows, scheduler_rows) -> None:
+def _append_history(committed: dict, preset, rows) -> None:
     """Append this refresh to the per-revision trajectory.
 
     One *clean* entry per (git revision, preset): re-refreshing at the
@@ -254,79 +144,32 @@ def _append_history(committed: dict, preset, rows, scheduler_rows) -> None:
         "preset": preset.name,
         "modes": {
             row["mode"]: {
-                "reference_cyc_per_s": row["reference_cyc_per_s"],
-                "batched_cyc_per_s": row["batched_cyc_per_s"],
-                "calendar_cyc_per_s": row["calendar_cyc_per_s"],
+                "fast_cyc_per_s": row["fast_cyc_per_s"],
                 "exact_cyc_per_s": row["exact_cyc_per_s"],
             }
             for row in rows
-        },
-        "scheduler_multi_sm": {
-            "num_sms": PAPER_SMS,
-            "modes": {
-                row["mode"]: {
-                    "scan_cyc_per_s": row["scan_cyc_per_s"],
-                    "calendar_cyc_per_s": row["calendar_cyc_per_s"],
-                }
-                for row in scheduler_rows
-            },
         },
     }
     upsert_history(committed.setdefault("history", []), entry)
 
 
-def _check_regression(committed: dict, preset_name: str, rows,
-                      scheduler_rows) -> None:
-    entry = committed.get("presets", {}).get(preset_name)
-    if entry is None:
-        return  # no committed record at this scale — nothing to compare
-    floor = 1.0 - REGRESSION_TOLERANCE
-
-    def gate(mode: str, ratio_name: str, measured, want) -> None:
-        if want is None:
-            return  # committed file predates this column
-        assert measured >= want * floor, (
-            f"{mode}: {ratio_name} speedup {measured} regressed more "
-            f"than {REGRESSION_TOLERANCE:.0%} from committed {want} "
-            f"(preset {preset_name}); if intentional, refresh "
-            f"{BENCH_PATH.name} with REPRO_UPDATE_BENCH=1")
-
-    for row in rows:
-        modes = entry["modes"].get(row["mode"], {})
-        gate(row["mode"], "batched/reference", row["batched_speedup"],
-             modes.get("batched_speedup"))
-        gate(row["mode"], "calendar/scan", row["calendar_speedup"],
-             modes.get("calendar_speedup"))
-    committed_multi = entry.get("scheduler_multi_sm", {}).get("modes", {})
-    for row in scheduler_rows:
-        gate(f"{row['mode']}@{row['num_sms']}sm", "calendar/scan",
-             row["calendar_speedup"],
-             committed_multi.get(row["mode"], {}).get("calendar_speedup"))
-
-
 def bench_simulator_speed(benchmark, workloads, preset, report):
-    results = benchmark.pedantic(_run_all, args=(workloads,),
-                                 rounds=1, iterations=1)
-    rows = results["modes"]
-    scheduler_rows = results["scheduler_multi_sm"]
+    rows = benchmark.pedantic(_run_all, args=(workloads,),
+                              rounds=1, iterations=1)
     report(format_table(
         rows, title="Simulator speed — cycles simulated per wall second"))
-    report(format_table(
-        scheduler_rows,
-        title=f"Warp schedulers at the paper's {PAPER_SMS}-SM scale"))
     for row in rows:
-        assert row["reference_cyc_per_s"] > 0
+        assert row["fast_cyc_per_s"] > 0
         # Fast-forward only skips work; allow generous timing noise.
         assert row["fast_vs_exact"] > 0.7, row
 
-    committed = _load_committed()
-    _check_regression(committed, preset.name, rows, scheduler_rows)
     if os.environ.get("REPRO_UPDATE_BENCH") == "1":
+        committed = _load_committed()
         committed.setdefault("schema", "repro-bench-simulator-speed/1")
         committed["scene"] = SCENE
         committed.setdefault("presets", {})[preset.name] = \
-            _bench_document(preset, rows, scheduler_rows)
-        _append_history(committed, preset, rows, scheduler_rows)
+            _bench_document(preset, rows)
+        _append_history(committed, preset, rows)
         BENCH_PATH.write_text(json.dumps(committed, indent=2,
                                          sort_keys=True) + "\n")
         report(f"updated {BENCH_PATH.name} (preset {preset.name})")

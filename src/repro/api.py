@@ -8,11 +8,8 @@ Two calls cover the whole workflow:
   processes.
 
 Everything else (workload building, per-mode configs and launch specs,
-``run_mode``) is re-exported here under its stable public name. The
-pre-1.0 underscore spellings on :mod:`repro.harness.runner`
-(``_build_workload``, ``_config_for_mode``, ``_launch_for_mode``,
-``_run_mode``) still work but emit ``DeprecationWarning``; new code
-should import from ``repro.api`` (or ``repro`` directly)::
+``run_mode``) is re-exported here under its stable public name; import
+from ``repro.api`` (or ``repro`` directly)::
 
     from repro import api
     result = api.simulate("conference", "spawn", preset="fast")
@@ -88,8 +85,7 @@ def _resolve_preset(preset) -> SimPreset:
 
 def simulate(scene, mode: str, *, preset="fast", ray_kind: str = "primary",
              seed: int = 0, max_cycles: int | None = None,
-             fast_forward: bool | None = None, executor: str | None = None,
-             scheduler: str | None = None, probes=None,
+             fast_forward: bool | None = None, probes=None,
              cache=None) -> RunResult:
     """Simulate one machine mode on one workload; returns a ``RunResult``.
 
@@ -102,17 +98,6 @@ def simulate(scene, mode: str, *, preset="fast", ray_kind: str = "primary",
     :func:`_resolve_probes`); the session comes back finalized as
     ``result.trace``. With ``probes`` unset the simulation runs with zero
     instrumentation overhead and bit-identical statistics.
-
-    ``executor`` selects the instruction-execution backend
-    (:data:`repro.config.EXECUTORS`): ``"reference"`` interprets one warp
-    instruction at a time, ``"batched"`` compiles straight-line runs into
-    structure-of-arrays kernels with bit-identical results. None keeps
-    the :class:`~repro.config.GPUConfig` default (reference).
-
-    ``scheduler`` selects the warp-scheduler implementation
-    (:data:`repro.config.SCHEDULERS`): ``"scan"`` is the reference
-    per-cycle round-robin scan, ``"calendar"`` the event-driven wake
-    calendar with bit-identical results. None keeps the default (scan).
     """
     if isinstance(scene, Workload):
         workload = scene
@@ -121,21 +106,20 @@ def simulate(scene, mode: str, *, preset="fast", ray_kind: str = "primary",
                                     ray_kind=ray_kind, seed=seed, cache=cache)
     started = time.perf_counter()
     result = run_mode(mode, workload, max_cycles=max_cycles,
-                      fast_forward=fast_forward, executor=executor,
-                      scheduler=scheduler, trace=_resolve_probes(probes))
+                      fast_forward=fast_forward,
+                      trace=_resolve_probes(probes))
     # Opt-in results warehouse (no-op without REPRO_RESULTS_DIR): the wall
     # clock covers the simulation only, not workload preparation, matching
     # what JobResult.wall_seconds measures on the sweep path. The explicit
-    # job spec carries max_cycles/fast_forward/executor/scheduler so the
-    # recorded config_digest matches an identically-configured sweep job.
+    # job spec carries max_cycles/fast_forward so the recorded
+    # config_digest matches an identically-configured sweep job.
     maybe_record(result, source="simulate",
                  wall_seconds=time.perf_counter() - started, seed=seed,
                  job=SweepJob(scene=workload.scene_name, mode=mode,
                               preset=workload.preset.name,
                               ray_kind=workload.ray_kind, seed=seed,
                               max_cycles=max_cycles,
-                              fast_forward=fast_forward, executor=executor,
-                              scheduler=scheduler))
+                              fast_forward=fast_forward))
     return result
 
 

@@ -12,22 +12,21 @@ Commands:
   already checkpointed; the command exits non-zero (with a summary) when
   any job permanently fails or comes back unverified,
 - ``run --scene S --mode M [--preset P] [--rays shadow] [--fast|--exact]
-  [--executor E] [--scheduler S] [--profile [N]]`` — one simulation with
-  full metrics (``--fast``, the default, uses the event-driven clock;
-  ``--exact`` ticks every cycle; ``--executor``/``--scheduler`` pick the
-  bit-identical execution backend and warp scheduler; ``--profile`` runs
-  under cProfile and prints the top-N cumulative hot spots),
+  [--profile [N]]`` — one simulation with full metrics (``--fast``, the
+  default, uses the event-driven clock; ``--exact`` ticks every cycle;
+  ``--profile`` runs under cProfile and prints the top-N cumulative hot
+  spots),
 - ``render --scene S [--width W --height H] [--out f.ppm]`` — reference
   render of a benchmark scene,
 - ``trace <scene> [--mode M] [--interval N] [--out trace.json]`` — run one
   simulation with cycle-attribution probes attached and export a Chrome
   ``trace_event`` file plus a stacked per-interval breakdown,
 - ``fuzz [--cases N] [--seed S] [--models m1,m2] [--kinds k1,k2]
-  [--backends b1,b2] [--schedulers s1,s2] [--replay PATH] [--out DIR]``
-  — generative differential conformance:
+  [--replay PATH] [--out DIR]`` — generative differential conformance:
   run randomly generated µ-kernel programs on every applicable SIMT
   model and compare against the MIMD reference (functional equivalence,
-  metamorphic variants, structural counter identities). Divergences are
+  metamorphic variants, fast == exact clock statistics, structural
+  counter identities). Divergences are
   auto-shrunk and written as JSON repro files to ``--out``; ``--replay``
   re-runs a corpus file or directory instead of generating,
 - ``disasm {traditional|microkernels}`` — print a benchmark kernel's
@@ -56,7 +55,6 @@ import sys
 
 from repro import api
 from repro.analysis.divergence import breakdown_from_stats, render_breakdown
-from repro.config import EXECUTORS, SCHEDULERS
 from repro.harness import experiments
 from repro.harness.presets import PRESETS, get_preset
 from repro.harness.runner import MODES
@@ -200,9 +198,7 @@ def _cmd_run(args) -> int:
     def simulate():
         return api.simulate(args.scene, args.mode, preset=preset,
                             ray_kind=args.rays,
-                            fast_forward=args.fast_forward,
-                            executor=args.executor,
-                            scheduler=args.scheduler)
+                            fast_forward=args.fast_forward)
     if args.profile:
         import cProfile
         import pstats
@@ -224,8 +220,7 @@ def _cmd_run(args) -> int:
     workload = result.workload
     clock = "fast" if args.fast_forward else "exact"
     print(f"scene={args.scene} rays={args.rays} mode={args.mode} "
-          f"preset={preset.name} clock={clock} executor={args.executor} "
-          f"scheduler={args.scheduler}")
+          f"preset={preset.name} clock={clock}")
     print(f"  cycles             {result.stats.cycles}")
     print(f"  IPC                {result.ipc:.2f}")
     print(f"  SIMT efficiency    {result.simt_efficiency:.3f}")
@@ -299,9 +294,7 @@ def _cmd_fuzz(args) -> int:
     import os
 
     from repro.fuzz import (
-        FUZZ_BACKENDS,
         FUZZ_MODELS,
-        FUZZ_SCHEDULERS,
         load_case,
         load_corpus,
         run_case,
@@ -327,24 +320,6 @@ def _cmd_fuzz(args) -> int:
             print(f"unknown kind {unknown[0]!r}; choose from "
                   f"{', '.join(CASE_KINDS)}", file=sys.stderr)
             return 2
-    backends = None
-    if args.backends:
-        backends = tuple(name.strip() for name in args.backends.split(","))
-        unknown = [name for name in backends if name not in FUZZ_BACKENDS]
-        if unknown:
-            print(f"unknown backend {unknown[0]!r}; choose from "
-                  f"{', '.join(FUZZ_BACKENDS)}", file=sys.stderr)
-            return 2
-    schedulers = None
-    if args.schedulers:
-        schedulers = tuple(name.strip()
-                           for name in args.schedulers.split(","))
-        unknown = [name for name in schedulers
-                   if name not in FUZZ_SCHEDULERS]
-        if unknown:
-            print(f"unknown scheduler {unknown[0]!r}; choose from "
-                  f"{', '.join(FUZZ_SCHEDULERS)}", file=sys.stderr)
-            return 2
 
     if args.replay:
         if os.path.isdir(args.replay):
@@ -356,8 +331,7 @@ def _cmd_fuzz(args) -> int:
             return 2
         failed = 0
         for path, case in entries:
-            result = run_case(case, models=models, backends=backends,
-                              schedulers=schedulers)
+            result = run_case(case, models=models)
             status = ("skip" if result.skipped
                       else "ok" if result.ok else "FAIL")
             print(f"{status:5s} {path} ({case.describe()})")
@@ -375,7 +349,6 @@ def _cmd_fuzz(args) -> int:
                 print(f" {index + 1}/{args.cases}")
 
     report = run_fuzz(args.cases, args.seed, models=models, kinds=kinds,
-                      backends=backends, schedulers=schedulers,
                       on_case=progress)
     if not args.quiet:
         print()
@@ -452,8 +425,7 @@ def _cmd_submit(args) -> int:
     client = ServeClient(args.url, timeout=args.http_timeout)
     request = SimulateRequest(
         scene=args.scene, mode=args.mode, preset=args.preset,
-        ray_kind=args.rays, seed=args.seed,
-        executor=args.executor or None, scheduler=args.scheduler or None)
+        ray_kind=args.rays, seed=args.seed)
     try:
         if args.no_wait:
             status = client.submit(request)
@@ -509,13 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--rays", default="primary", choices=RAY_KINDS)
     p_run.add_argument("--divergence", action="store_true",
                        help="print the warp-occupancy breakdown")
-    p_run.add_argument("--executor", default="reference",
-                       choices=EXECUTORS,
-                       help="instruction-execution backend (default "
-                            "reference; batched is bit-identical)")
-    p_run.add_argument("--scheduler", default="scan", choices=SCHEDULERS,
-                       help="warp-scheduler implementation (default scan; "
-                            "calendar is bit-identical and event-driven)")
     p_run.add_argument("--profile", type=int, nargs="?", const=25, default=0,
                        metavar="N",
                        help="run under cProfile and print the top N "
@@ -574,14 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--models", default="", metavar="M1,M2",
                         help="comma-separated model subset "
                              "(default: all applicable per case)")
-    p_fuzz.add_argument("--backends", default="", metavar="B1,B2",
-                        help="comma-separated executor backends to "
-                             "differentiate, e.g. reference,batched "
-                             "(default: all; first entry is primary)")
-    p_fuzz.add_argument("--schedulers", default="", metavar="S1,S2",
-                        help="comma-separated warp schedulers to "
-                             "differentiate, e.g. scan,calendar "
-                             "(default: all; first entry is primary)")
     p_fuzz.add_argument("--kinds", default="", metavar="K1,K2",
                         help="restrict generated program kinds "
                              "(plain,spawn,barrier)")
@@ -656,12 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=sorted(PRESETS))
     p_submit.add_argument("--rays", default="primary", choices=RAY_KINDS)
     p_submit.add_argument("--seed", type=int, default=0)
-    p_submit.add_argument("--executor", default="", choices=("",) + EXECUTORS,
-                          help="execution backend override (default: the "
-                               "server-side default, reference)")
-    p_submit.add_argument("--scheduler", default="",
-                          choices=("",) + SCHEDULERS,
-                          help="warp-scheduler override (default: scan)")
     p_submit.add_argument("--no-wait", action="store_true",
                           help="print the job status and exit instead of "
                                "waiting for the result")

@@ -28,26 +28,6 @@ BYTES_PER_WORD = 4
 #: scattered accesses; adjacent segments still merge via coalescing.
 SEGMENT_BYTES = 32
 
-#: Valid :attr:`GPUConfig.executor` backend names. ``reference`` is the
-#: per-warp interpreter of :mod:`repro.simt.executor`; ``batched`` is the
-#: structure-of-arrays backend of :mod:`repro.simt.batched`, which defers
-#: straight-line ALU runs and executes them across all enqueued warps of
-#: all SMs in one set of numpy array operations. The two backends are
-#: bit-identical for every statistic (see docs/architecture.md).
-EXECUTORS = ("reference", "batched")
-
-#: Valid :attr:`GPUConfig.scheduler` implementation names. ``scan`` is
-#: the reference per-cycle scheduler: every cycle each SM linearly scans
-#: its warp list round-robin for the first issue-eligible warp.
-#: ``calendar`` is the event-driven scheduler of the same policy: each SM
-#: keeps an eligibility bitmask plus a ``ready_at`` wake-bucket calendar
-#: maintained incrementally on every status/``ready_at`` transition (O(1)
-#: pick), and the multi-SM run loop keeps a min-heap of per-SM next-wake
-#: cycles so only SMs that can act are stepped. The two schedulers are
-#: bit-identical for every statistic (see docs/architecture.md).
-SCHEDULERS = ("scan", "calendar")
-
-
 @dataclass(frozen=True)
 class MemoryConfig:
     """Off-chip memory partition configuration."""
@@ -143,24 +123,6 @@ class GPUConfig:
     cycle loop would, so all reported statistics are bit-identical to
     ``fast_forward=False`` (the *exact* mode); the differential test suite
     enforces this equivalence for every execution model."""
-    executor: str = "reference"
-    """Instruction-execution backend (see :data:`EXECUTORS`). The default
-    ``reference`` interprets one warp instruction per issue; ``batched``
-    compiles straight-line µ-kernel runs (via :mod:`repro.isa.blocks`)
-    into structure-of-arrays numpy kernels executed across every enqueued
-    warp of every SM at once. Both backends produce bit-identical
-    :class:`~repro.simt.gpu.RunStats` and probe intervals; the batched
-    backend only trades Python dispatch for array width."""
-    scheduler: str = "scan"
-    """Warp-scheduler implementation (see :data:`SCHEDULERS`). The default
-    ``scan`` re-scans the warp list round-robin every cycle (the reference
-    policy); ``calendar`` keeps the identical round-robin pick order in an
-    eligibility bitmask fed by a ``ready_at`` wake calendar, and — with
-    ``fast_forward`` on a multi-SM machine — drives the run loop from a
-    min-heap of per-SM wake cycles so idle SMs are skipped even while
-    other SMs are busy. Both schedulers produce bit-identical
-    :class:`~repro.simt.gpu.RunStats` and probe intervals; the calendar
-    scheduler only removes per-cycle bookkeeping work."""
 
     def __post_init__(self) -> None:
         self.validate()
@@ -186,14 +148,6 @@ class GPUConfig:
             raise ConfigError("clock_ghz must be positive")
         if self.max_cycles <= 0:
             raise ConfigError("max_cycles must be positive")
-        if self.executor not in EXECUTORS:
-            raise ConfigError(
-                f"unknown executor backend {self.executor!r}."
-                f"{did_you_mean(self.executor, EXECUTORS)}")
-        if self.scheduler not in SCHEDULERS:
-            raise ConfigError(
-                f"unknown scheduler {self.scheduler!r}."
-                f"{did_you_mean(self.scheduler, SCHEDULERS)}")
         self.memory.validate()
         self.spawn.validate()
 
@@ -266,10 +220,18 @@ class GPUConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "GPUConfig":
-        data = dict(data)
-        memory = MemoryConfig(**data.pop("memory"))
-        spawn = SpawnConfig(**data.pop("spawn"))
-        return GPUConfig(memory=memory, spawn=spawn, **data)
+        """Rebuild a config from :meth:`to_dict` output.
+
+        Goes through :meth:`replace`, so a key this build does not know
+        (a misspelling, or a field a later or earlier build had) raises
+        the same did-you-mean :class:`ConfigError` as ``replace`` rather
+        than a bare ``TypeError``.
+        """
+        changes = dict(data)
+        for nested in ("memory", "spawn"):
+            for key, value in changes.pop(nested).items():
+                changes[f"{nested}_{key}"] = value
+        return GPUConfig().replace(**changes)
 
     def table1_rows(self) -> list[tuple[str, str]]:
         """Rows of paper Table I for this configuration."""

@@ -28,9 +28,7 @@ from repro.fuzz.corpus import (
 )
 from repro.fuzz.generator import CASE_KINDS, Case, make_case
 from repro.fuzz.oracle import (
-    FUZZ_BACKENDS,
     FUZZ_MODELS,
-    FUZZ_SCHEDULERS,
     CaseResult,
     FuzzReport,
     models_for,
@@ -44,9 +42,7 @@ from repro.fuzz.shrink import shrink_case
 __all__ = [
     "CASE_KINDS",
     "CASE_SCHEMA",
-    "FUZZ_BACKENDS",
     "FUZZ_MODELS",
-    "FUZZ_SCHEDULERS",
     "Case",
     "CaseResult",
     "FuzzReport",

@@ -14,23 +14,13 @@ programs run on pdom_block / pdom_warp / dwf, ``bar`` programs need block
 scheduling (pdom_block), and ``spawn`` programs run on the spawn model.
 The MIMD reference runs everything.
 
-The executor backend (:data:`repro.config.EXECUTORS`) is a metamorphic
-axis of its own: each case additionally re-runs under every non-primary
-backend (fast and exact clock) and the resulting
-:func:`~repro.harness.sweep.run_stats_digest` must equal the primary
-backend's digest exactly — the two backends promise bit-identical
-statistics, not merely equal memory images. DWF is exempt: it re-forms a
-transient warp per issue, so ``config.executor`` has no effect there by
-construction (see :func:`repro.simt.dwf.run_dwf`).
-
-The warp scheduler (:data:`repro.config.SCHEDULERS`) is the same kind of
-axis: every non-primary scheduler re-runs the base parameters across
-*every* requested backend on both clocks — the scheduler shares state
-with the executor through ``ready_at``, so the cross product is exactly
-where a composition bug would hide — under the same bit-identical digest
-requirement. DWF is exempt for the same reason as above: it never
-constructs an :class:`~repro.simt.sm.SM`, so ``config.scheduler`` has no
-effect there by construction.
+The clock is the one knob that promises bit-identical statistics, not
+merely equal memory images: for every SM model the ``exact`` variant's
+:func:`~repro.harness.sweep.run_stats_digest` must equal the fast-clock
+``base`` run's. That catches a fast-forward bug that shifts idle or
+stall cycles without changing any functional output. DWF is exempt: its
+statistics are not a :class:`~repro.simt.gpu.RunStats`, and the
+fast-forward differential tests cover its two clocks.
 """
 
 from __future__ import annotations
@@ -39,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import EXECUTORS, SCHEDULERS, SchedulingModel, scaled_config
-from repro.errors import ConfigError, MemoryError_
+from repro.config import SchedulingModel, scaled_config
+from repro.errors import MemoryError_
 from repro.fuzz.generator import Case, make_case
 from repro.fuzz.reference import (
     ReferenceLimitError,
@@ -57,12 +47,6 @@ from repro.simt.snapshot import SnapshotRecorder
 
 #: SIMT models the fuzzer differentiates against the reference.
 FUZZ_MODELS = ("pdom_block", "pdom_warp", "spawn", "dwf")
-
-#: Executor backends the fuzzer cross-checks (first entry is primary).
-FUZZ_BACKENDS = EXECUTORS
-
-#: Warp schedulers the fuzzer cross-checks (first entry is primary).
-FUZZ_SCHEDULERS = SCHEDULERS
 
 _MAX_CYCLES = 2_000_000
 
@@ -120,15 +104,8 @@ def run_model(case: Case, model: str, *, warp_size: int = 32,
               fast_forward: bool = True, shuffle_seed: int | None = None,
               spawn_when_uniform: bool = True,
               block_size: int | None = None, trace: bool = False,
-              executor: str = "reference", scheduler: str = "scan",
               variant: str = "base") -> ModelRun:
-    """Execute ``case`` on one SIMT model and capture its final state.
-
-    ``executor`` selects the instruction-execution backend
-    (:data:`repro.config.EXECUTORS`) and ``scheduler`` the warp-scheduler
-    implementation (:data:`repro.config.SCHEDULERS`); DWF accepts but
-    ignores both.
-    """
+    """Execute ``case`` on one SIMT model and capture its final state."""
     if model not in FUZZ_MODELS:
         raise ValueError(f"unknown fuzz model {model!r}")
     global_mem = GlobalMemory(case.global_words)
@@ -136,8 +113,7 @@ def run_model(case: Case, model: str, *, warp_size: int = 32,
                           np.asarray(case.inputs, dtype=np.float64))
     const_mem = np.asarray(case.const, dtype=np.float64)
     overrides = dict(warp_size=warp_size, sps_per_sm=4,
-                     fast_forward=fast_forward, max_cycles=_MAX_CYCLES,
-                     executor=executor, scheduler=scheduler)
+                     fast_forward=fast_forward, max_cycles=_MAX_CYCLES)
 
     if model == "dwf":
         config = scaled_config(1, **overrides)
@@ -266,55 +242,14 @@ def _variants(case: Case, model: str) -> list[dict]:
     return variants
 
 
-def _resolve_backends(backends) -> tuple[str, ...]:
-    """Normalize and validate the executor-backend axis of a campaign."""
-    if backends is None:
-        return FUZZ_BACKENDS
-    resolved = tuple(backends)
-    if not resolved:
-        raise ConfigError("backends must name at least one executor")
-    for backend in resolved:
-        if backend not in EXECUTORS:
-            raise ConfigError(
-                f"unknown executor backend {backend!r}; choose from "
-                f"{', '.join(EXECUTORS)}")
-    return resolved
-
-
-def _resolve_schedulers(schedulers) -> tuple[str, ...]:
-    """Normalize and validate the warp-scheduler axis of a campaign."""
-    if schedulers is None:
-        return FUZZ_SCHEDULERS
-    resolved = tuple(schedulers)
-    if not resolved:
-        raise ConfigError("schedulers must name at least one scheduler")
-    for scheduler in resolved:
-        if scheduler not in SCHEDULERS:
-            raise ConfigError(
-                f"unknown scheduler {scheduler!r}; choose from "
-                f"{', '.join(SCHEDULERS)}")
-    return resolved
-
-
-def run_case(case: Case, models=None, backends=None,
-             schedulers=None) -> CaseResult:
+def run_case(case: Case, models=None) -> CaseResult:
     """Run the full oracle battery for one case.
 
-    ``backends`` orders the executor backends to differentiate (default
-    :data:`FUZZ_BACKENDS`): the first runs the whole variant battery, and
-    each further backend re-runs the base parameters on both clocks with
-    a bit-identical ``run_stats_digest`` requirement against the first.
-
-    ``schedulers`` orders the warp schedulers the same way (default
-    :data:`FUZZ_SCHEDULERS`): the first underlies every run above, and
-    each further scheduler re-runs the base parameters across every
-    requested backend on both clocks, again digest-identical to the
-    primary.
+    ``models`` restricts the SIMT models run (default: every model
+    :func:`models_for` the case applies to).
     """
     from repro.harness.sweep import run_stats_digest
 
-    backends = _resolve_backends(backends)
-    schedulers = _resolve_schedulers(schedulers)
     try:
         reference = run_reference(case)
     except (ReferenceLimitError, MemoryError_):
@@ -324,8 +259,6 @@ def run_case(case: Case, models=None, backends=None,
     if not applicable:
         return CaseResult(case, skipped=True)
     result = CaseResult(case)
-    primary = backends[0]
-    primary_scheduler = schedulers[0]
     for model in applicable:
         runs = [dict(variant="base", trace=True)]
         runs += _variants(case, model)
@@ -333,8 +266,7 @@ def run_case(case: Case, models=None, backends=None,
         for kwargs in runs:
             variant = kwargs.get("variant", "base")
             try:
-                run = run_model(case, model, executor=primary,
-                                scheduler=primary_scheduler, **kwargs)
+                run = run_model(case, model, **kwargs)
             except Exception as error:  # a crash is a conformance failure
                 result.failures.append(
                     f"{model}/{variant}: {type(error).__name__}: {error}")
@@ -345,66 +277,29 @@ def run_case(case: Case, models=None, backends=None,
             for problem in check_run(run.stats, run.recorder, run.session,
                                      grid_threads=case.num_threads):
                 result.failures.append(f"{model}/{variant}: {problem}")
-        if model == "dwf":
-            continue  # executor backend and scheduler are no-ops for DWF
-
-        def cross_check(variant, base_variant, **kwargs):
-            try:
-                run = run_model(case, model, variant=variant, **kwargs)
-            except Exception as error:
-                result.failures.append(
-                    f"{model}/{variant}: {type(error).__name__}: {error}")
-                return
-            result.failures += _compare_to_reference(case, reference, run)
-            for problem in check_run(run.stats, run.recorder, run.session,
-                                     grid_threads=case.num_threads):
-                result.failures.append(f"{model}/{variant}: {problem}")
-            want = digests.get(base_variant)
-            if want is not None and run_stats_digest(run.stats) != want:
-                result.failures.append(
-                    f"{model}/{variant}: RunStats diverge from the "
-                    f"{primary_scheduler}/{primary} run (schedulers and "
-                    f"backends must be bit-identical)")
-
-        clocks = (("base", {}), ("exact", dict(fast_forward=False)))
-        for backend in backends[1:]:
-            for base_variant, kwargs in clocks:
-                cross_check(f"{base_variant}+{backend}", base_variant,
-                            executor=backend,
-                            scheduler=primary_scheduler, **kwargs)
-        for scheduler in schedulers[1:]:
-            # The full backend list, not just the primary: the scheduler
-            # and the executor share warp wake state, so their cross
-            # product is where a composition bug would hide.
-            for backend in backends:
-                for base_variant, kwargs in clocks:
-                    cross_check(f"{base_variant}+{scheduler}+{backend}",
-                                base_variant, executor=backend,
-                                scheduler=scheduler, **kwargs)
+        if len(digests) == 2 and digests["exact"] != digests["base"]:
+            result.failures.append(
+                f"{model}/exact: RunStats diverge from the fast-clock base "
+                f"run (the two clocks must be bit-identical)")
     return result
 
 
 def run_fuzz(num_cases: int, seed: int = 0, *, models=None, kinds=None,
-             backends=None, schedulers=None, on_case=None) -> FuzzReport:
+             on_case=None) -> FuzzReport:
     """Run a fuzzing campaign of ``num_cases`` generated cases.
 
     All stochastic choices derive from ``seed`` through one
     :class:`numpy.random.SeedSequence`; the same ``(num_cases, seed)``
-    replays the identical campaign. ``backends`` and ``schedulers``
-    forward to :func:`run_case` (default: differentiate every executor
-    backend and every warp scheduler). ``on_case`` is an optional
-    callback ``(index, CaseResult) -> None`` for progress reporting.
+    replays the identical campaign. ``on_case`` is an optional callback
+    ``(index, CaseResult) -> None`` for progress reporting.
     """
     report = FuzzReport()
-    backends = _resolve_backends(backends)
-    schedulers = _resolve_schedulers(schedulers)
     children = np.random.SeedSequence(seed).spawn(num_cases)
     for index, child in enumerate(children):
         case_seed = int(child.generate_state(1)[0])
         kind = None if not kinds else kinds[index % len(kinds)]
         case = make_case(case_seed, kind)
-        result = run_case(case, models=models, backends=backends,
-                          schedulers=schedulers)
+        result = run_case(case, models=models)
         report.cases_run += 1
         if result.skipped:
             report.skipped += 1

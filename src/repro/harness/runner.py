@@ -22,7 +22,6 @@ spawn_ideal        spawn with the ideal memory system (Fig 10)
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,27 +307,17 @@ def prepare_workload(scene_name: str, preset: SimPreset,
 
 
 def config_for_mode(mode: str, preset: SimPreset,
-                    fast_forward: bool | None = None,
-                    executor: str | None = None,
-                    scheduler: str | None = None) -> GPUConfig:
+                    fast_forward: bool | None = None) -> GPUConfig:
     """The machine configuration for one mode at one preset scale.
 
     ``fast_forward`` overrides the event-driven clock toggle; None keeps
-    the :class:`GPUConfig` default (fast). ``executor`` selects the
-    instruction-execution backend (see :data:`repro.config.EXECUTORS`);
-    ``scheduler`` the warp-scheduler implementation (see
-    :data:`repro.config.SCHEDULERS`); None keeps the defaults
-    (reference, scan).
+    the :class:`GPUConfig` default (fast).
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
     overrides: dict = {"max_cycles": preset.max_cycles}
     if fast_forward is not None:
         overrides["fast_forward"] = fast_forward
-    if executor is not None:
-        overrides["executor"] = executor
-    if scheduler is not None:
-        overrides["scheduler"] = scheduler
     if mode == "pdom_block":
         overrides["scheduling"] = SchedulingModel.BLOCK
     else:
@@ -386,8 +375,6 @@ def launch_for_workload(mode: str, workload: Workload):
 def run_mode(mode: str, workload: Workload,
              max_cycles: int | None = None,
              fast_forward: bool | None = None,
-             executor: str | None = None,
-             scheduler: str | None = None,
              trace=None) -> RunResult:
     """Simulate one mode on a prepared workload.
 
@@ -395,8 +382,7 @@ def run_mode(mode: str, workload: Workload,
     the returned result carries it (finalized) as ``result.trace``.
     """
     preset = workload.preset
-    config = config_for_mode(mode, preset, fast_forward=fast_forward,
-                             executor=executor, scheduler=scheduler)
+    config = config_for_mode(mode, preset, fast_forward=fast_forward)
     image = image_for_workload(workload)
     launch = launch_for_workload(mode, workload)
     gpu = GPU(config, launch, image.global_mem, image.const_mem,
@@ -405,37 +391,6 @@ def run_mode(mode: str, workload: Workload,
     return RunResult(mode=mode, workload=workload, stats=stats, image=image,
                      trace=trace)
 
-
-def _deprecated_alias(name: str, replacement: str, func):
-    """A module-level shim that warns once per call site, then delegates.
-
-    The old underscore-named entry points keep working for one release
-    cycle; the public names here (re-exported by :mod:`repro.api`) are the
-    supported surface.
-    """
-    def shim(*args, **kwargs):
-        warnings.warn(
-            f"repro.harness.runner.{name} is deprecated; use {replacement}",
-            DeprecationWarning, stacklevel=2)
-        return func(*args, **kwargs)
-    shim.__name__ = name
-    shim.__qualname__ = name
-    shim.__doc__ = (f"Deprecated alias of ``{replacement}`` "
-                    f"(emits :class:`DeprecationWarning`).")
-    return shim
-
-
-#: Pre-1.0 these building blocks were underscore-named and re-exported by
-#: ``repro.api`` under the public spellings; the public names now live
-#: here and the old spellings warn.
-_build_workload = _deprecated_alias(
-    "_build_workload", "repro.api.build_workload", build_workload)
-_config_for_mode = _deprecated_alias(
-    "_config_for_mode", "repro.api.config_for_mode", config_for_mode)
-_launch_for_mode = _deprecated_alias(
-    "_launch_for_mode", "repro.api.launch_for_mode", launch_for_mode)
-_run_mode = _deprecated_alias(
-    "_run_mode", "repro.api.run_mode", run_mode)
 
 __all__ = [
     "MODES",

@@ -69,10 +69,6 @@ from repro.harness.presets import get_preset
 from repro.harness.runner import StatsView, prepare_workload, run_mode
 from repro.simt.gpu import RunStats
 
-#: Legacy schema tag of pre-wire checkpoint manifests; still accepted on
-#: load (new lines are ``repro-wire/1`` — see :mod:`repro.serve.wire`).
-CHECKPOINT_SCHEMA = "repro-sweep-checkpoint/1"
-
 #: How often the pool loop polls futures for completion and watchdog
 #: expiry — see ``_run_pool``.
 _POLL_SECONDS = 0.1
@@ -89,8 +85,6 @@ class SweepJob:
     seed: int = 0
     max_cycles: int | None = None
     fast_forward: bool | None = None
-    executor: str | None = None
-    scheduler: str | None = None
 
     @property
     def key(self) -> tuple[str, str, str, int]:
@@ -105,11 +99,7 @@ class SweepJob:
 
         Checkpoint records are keyed by :attr:`key` *and* this digest, so
         a resumed sweep never serves a result that was computed under a
-        different preset, cycle budget, or clock. ``executor`` and
-        ``scheduler`` join the hash only when set — both backends are
-        bit-identical by contract, and leaving the defaults out keeps
-        digests (and therefore existing checkpoint manifests) stable for
-        every job spec that predates the fields.
+        different preset, cycle budget, or clock.
         """
         parts = [
             "sweep-job-v1", self.scene, self.mode, self.preset,
@@ -117,10 +107,6 @@ class SweepJob:
             f"max_cycles={self.max_cycles}",
             f"fast_forward={self.fast_forward}",
         ]
-        if self.executor is not None:
-            parts.append(f"executor={self.executor}")
-        if self.scheduler is not None:
-            parts.append(f"scheduler={self.scheduler}")
         return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 
@@ -401,8 +387,7 @@ def execute_job(job: SweepJob, injector: FaultInjector | None = None) -> JobResu
     workload = prepare_workload(job.scene, preset, ray_kind=job.ray_kind,
                                 seed=job.seed)
     result = run_mode(job.mode, workload, max_cycles=job.max_cycles,
-                      fast_forward=job.fast_forward,
-                      executor=job.executor, scheduler=job.scheduler)
+                      fast_forward=job.fast_forward)
     wall = time.perf_counter() - start
     return JobResult(job=job, stats=result.stats, num_rays=workload.num_rays,
                      verified=result.verify(), wall_seconds=wall)
@@ -492,9 +477,7 @@ class SweepCheckpoint:
     :class:`JobResult` through ``RunStats.from_dict`` — bit-identical for
     every reported counter. The file is replaced atomically on every
     append (:func:`repro.harness.cache.atomic_write_text`); corrupt or
-    foreign lines are skipped on load, never fatal, and manifests written
-    by the pre-wire ``repro-sweep-checkpoint/1`` schema keep loading (and
-    resuming bit-identically) through the wire module's compat path.
+    foreign lines are skipped on load, never fatal.
     """
 
     def __init__(self, path: str | pathlib.Path):

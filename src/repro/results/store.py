@@ -128,7 +128,7 @@ def run_record(result, *, source: str, wall_seconds: float | None = None,
     ``job`` supplies the :class:`~repro.harness.sweep.SweepJob` spec for
     result types that do not carry one either — a caller that knows the
     full run configuration (``api.simulate`` knows ``max_cycles``,
-    ``executor``, ...) must pass it so the recorded ``config_digest``
+    ``fast_forward``) must pass it so the recorded ``config_digest``
     matches the sweep path's for the same configuration.
     """
     if job is None:

@@ -1,10 +1,9 @@
 """The versioned ``repro-wire/1`` JSON schema for everything that travels.
 
-Before this module there were three ad-hoc JSON shapes in the tree:
-checkpoint-manifest lines (``repro-sweep-checkpoint/1``), the versioned
-``RunStats.to_dict`` payload, and the job specs the CLI/api accepted as
-dicts. This module unifies them behind one envelope so the job server,
-the shard manifest, and the checkpoint files all speak one language::
+Checkpoint-manifest lines, the versioned ``RunStats.to_dict`` payload
+and the job specs the CLI/api accept share one envelope, so the job
+server, the shard manifest, and the checkpoint files all speak one
+language::
 
     {"schema": "repro-wire/1", "kind": <kind>, ...}
 
@@ -27,9 +26,6 @@ sweep-request      one ``api.sweep`` call by value (a list of job specs
                    plus worker/shard counts and retry policy)
 =================  =========================================================
 
-Compatibility: :func:`parse_line` additionally accepts the legacy
-``repro-sweep-checkpoint/1`` records PR 4 wrote and normalizes them into
-``result`` records, so existing manifests keep resuming bit-identically.
 Torn or foreign lines parse to ``None``, never raise — append-only files
 written by crashing workers must stay loadable.
 """
@@ -46,9 +42,6 @@ from repro.simt.gpu import RunStats
 
 #: Schema tag carried by every wire record.
 WIRE_SCHEMA = "repro-wire/1"
-
-#: The checkpoint schema PR 4 wrote; still accepted on read.
-LEGACY_CHECKPOINT_SCHEMA = "repro-sweep-checkpoint/1"
 
 _JOB_FIELDS = tuple(f.name for f in fields(SweepJob))
 
@@ -69,16 +62,13 @@ class SimulateRequest:
     seed: int = 0
     max_cycles: int | None = None
     fast_forward: bool | None = None
-    executor: str | None = None
-    scheduler: str | None = None
 
     def to_job(self) -> SweepJob:
         """The equivalent sweep job (one request == a one-job sweep)."""
         return SweepJob(scene=self.scene, mode=self.mode, preset=self.preset,
                         ray_kind=self.ray_kind, seed=self.seed,
                         max_cycles=self.max_cycles,
-                        fast_forward=self.fast_forward,
-                        executor=self.executor, scheduler=self.scheduler)
+                        fast_forward=self.fast_forward)
 
 
 @dataclass(frozen=True)
@@ -292,9 +282,6 @@ def from_wire(record: dict):
         raise ConfigError(f"wire records are JSON objects, got "
                           f"{type(record).__name__}")
     schema = record.get("schema")
-    if schema == LEGACY_CHECKPOINT_SCHEMA:
-        record = normalize_legacy_checkpoint(record)
-        schema = record["schema"]
     if schema != WIRE_SCHEMA:
         raise ConfigError(f"unsupported wire schema {schema!r} (this build "
                           f"reads {WIRE_SCHEMA})")
@@ -312,26 +299,12 @@ def from_wire(record: dict):
     raise ConfigError(f"unknown wire record kind {kind!r}")
 
 
-def normalize_legacy_checkpoint(record: dict) -> dict:
-    """Lift a PR 4 ``repro-sweep-checkpoint/1`` line into a wire record.
-
-    The legacy shape is exactly a ``result`` record without the envelope
-    and without an embedded job spec; key, digest, and the stats payload
-    carry over untouched, so resumed lookups stay bit-identical.
-    """
-    lifted = dict(record)
-    lifted["schema"] = WIRE_SCHEMA
-    lifted["kind"] = "result"
-    return lifted
-
-
 def parse_line(line: str) -> dict | None:
-    """Parse one manifest line into a normalized wire record, or ``None``.
+    """Parse one manifest line into a wire record, or ``None``.
 
     Tolerates torn tail lines from interrupted writers, non-JSON noise,
     and foreign schemas — all of those return ``None`` (callers skip
-    them). Legacy checkpoint lines are normalized so callers only ever
-    see ``repro-wire/1`` records.
+    them).
     """
     line = line.strip()
     if not line:
@@ -342,10 +315,7 @@ def parse_line(line: str) -> dict | None:
         return None
     if not isinstance(record, dict):
         return None
-    schema = record.get("schema")
-    if schema == LEGACY_CHECKPOINT_SCHEMA:
-        return normalize_legacy_checkpoint(record)
-    if schema != WIRE_SCHEMA:
+    if record.get("schema") != WIRE_SCHEMA:
         return None
     return record
 

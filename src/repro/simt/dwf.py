@@ -193,15 +193,6 @@ def run_dwf(config: GPUConfig, program, entry_kernel: str,
     :class:`repro.simt.snapshot.SnapshotRecorder` — both exist so the
     conformance fuzzer can compare DWF's shared-memory image and exit
     register files against the other models.
-
-    ``config.executor`` is accepted but has no effect here: DWF re-forms
-    a transient warp for every issue, so there is no stable straight-line
-    run to defer — the reference interpreter *is* the batched backend's
-    behaviour for this model (trivially bit-identical).
-    ``config.scheduler`` is likewise a no-op: DWF picks from its own
-    thread pool with a scheduler of its own and never constructs an
-    :class:`repro.simt.sm.SM`, so there is no warp scan to replace with
-    a wake calendar.
     """
     from repro.isa.cfg import reconvergence_table
 

@@ -21,7 +21,6 @@ from repro.errors import ConfigError, SchedulingError, did_you_mean
 from repro.isa.cfg import reconvergence_table
 from repro.isa.program import KernelInfo, Program
 from repro.simt.banked import BankedMemory
-from repro.simt.batched import BatchEngine
 from repro.simt.executor import MachineState
 from repro.simt.memory import DRAM, GlobalMemory
 from repro.simt.sm import SM, LaunchBlock
@@ -194,12 +193,6 @@ class GPU:
             self.dram.probe = trace
         self.program = launch.program
         self._reconv = reconvergence_table(self.program)
-        #: Machine-wide structure-of-arrays batching engine, shared by all
-        #: SMs; None under the reference executor.
-        self.engine = None
-        if config.executor == "batched":
-            self.engine = BatchEngine(self.program,
-                                      warp_size=config.warp_size)
         window = divergence_window or max(1, config.max_cycles // 100)
         self.sms = [self._build_sm(sm_id, window)
                     for sm_id in range(config.num_sms)]
@@ -295,14 +288,11 @@ class GPU:
         num_regs = max(self.program.max_register_index() + 1,
                        launch.registers_per_thread)
         probe = None if self.trace is None else self.trace.sm_probe(sm_id)
-        sm = SM(sm_id, config, machine, self.dram,
-                entry_pc=launch.entry_pc, num_regs=num_regs,
-                max_warps=max_warps, warps_per_block=warps_per_block,
-                max_blocks=max_blocks, spawn_unit=spawn_unit,
-                divergence_window=divergence_window, probe=probe)
-        if self.engine is not None:
-            self.engine.attach(sm)
-        return sm
+        return SM(sm_id, config, machine, self.dram,
+                  entry_pc=launch.entry_pc, num_regs=num_regs,
+                  max_warps=max_warps, warps_per_block=warps_per_block,
+                  max_blocks=max_blocks, spawn_unit=spawn_unit,
+                  divergence_window=divergence_window, probe=probe)
 
     def _distribute_blocks(self) -> None:
         """Round-robin launch blocks (contiguous thread ids) over SMs."""
@@ -336,26 +326,22 @@ class GPU:
         # for the whole run instead of per instruction.
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             self._run_loop(budget, last_progress)
-            if self.engine is not None:
-                # Warps parked mid-run at the cycle budget still owe their
-                # deferred register writes (snapshots read them).
-                self.engine.flush_all()
         return self.collect_stats()
 
     def _run_loop(self, budget: int, last_progress: int) -> None:
+        """Pick the run loop from the SM count and the clock.
+
+        - One SM, either clock: the specialised single-SM loop below. It
+          has the same visible behaviour as the other loops without their
+          per-SM bookkeeping, which on one SM costs more than it saves.
+        - Several SMs, fast clock: :meth:`_run_heap_loop`, which steps
+          only the SMs that can act.
+        - Several SMs, exact clock: the per-cycle loop at the end, which
+          steps every live SM every cycle. It is the oracle the fast
+          clock is checked against.
+        """
         fast = self.config.fast_forward
-        if fast and len(self.sms) > 1 and self.config.scheduler == "calendar":
-            # The calendar scheduler generalizes _fast_forward from
-            # "nobody progressed" spans to per-SM skipping: a min-heap of
-            # per-SM wake cycles steps only SMs that can act, even while
-            # other SMs stay busy. On one SM the two coincide, so the
-            # specialized loop below serves both schedulers there.
-            self._run_calendar_loop(budget, last_progress)
-            return
         if len(self.sms) == 1:
-            # Specialized single-SM loop: same visible behaviour as the
-            # generic loop below, without the per-cycle list iteration,
-            # flag bookkeeping and duplicated done checks.
             sm = self.sms[0]
             cycle = self.cycle
             while cycle < budget:
@@ -376,6 +362,9 @@ class GPU:
                     cycle = self.cycle
             self.cycle = cycle
             return
+        if fast:
+            self._run_heap_loop(budget, last_progress)
+            return
         while self.cycle < budget:
             progressed = False
             alive = False
@@ -394,11 +383,9 @@ class GPU:
                     f"no instruction issued for {DEADLOCK_HORIZON} cycles "
                     f"(cycle {self.cycle}); simulation is deadlocked")
             self.cycle += 1
-            if fast and not progressed and self.cycle < budget:
-                self._fast_forward(budget, last_progress)
 
     def _fast_forward(self, budget: int, last_progress: int) -> None:
-        """Jump the clock to the machine's next event (event-driven mode).
+        """Jump the clock to the machine's next event (single-SM loop).
 
         The target is the earliest cycle any SM could issue or change
         state, capped at the cycle budget and at the deadlock horizon so
@@ -418,8 +405,8 @@ class GPU:
                 sm.credit_skipped(self.cycle, target)
             self.cycle = target
 
-    def _run_calendar_loop(self, budget: int, last_progress: int) -> None:
-        """Event-driven multi-SM loop (``scheduler="calendar"``).
+    def _run_heap_loop(self, budget: int, last_progress: int) -> None:
+        """Event-driven multi-SM loop (fast clock, more than one SM).
 
         A min-heap of ``(wake_cycle, sm_id)`` holds each live SM's next
         event: the clock jumps straight to the heap minimum and steps only
@@ -460,22 +447,20 @@ class GPU:
                 start = credited[sm_id]
                 if start < target:
                     sm.credit_skipped(start, target)
-                if sm.step(target):
+                issued = sm.step(target)
+                if issued:
                     progressed = True
-                    if sm._admission_dirty or sm._ready_mask:
-                        # The issue re-armed admission (freed slots or
-                        # formed warps may admit next cycle) or another
-                        # warp is already eligible: the SM can act at the
-                        # very next cycle.
-                        wake = target + 1
-                    else:
-                        # Nothing eligible and admission provably blocked
-                        # until this SM issues again: sleep until the next
-                        # warp wake instead of burning a no-issue step at
-                        # target + 1 (latency-bound SMs spend most wakes
-                        # here).
-                        wake = sm.next_event_time(target + 1)
+                if issued and sm._admission_dirty:
+                    # The issue re-armed admission (freed slots or formed
+                    # warps may admit next cycle): the SM can act at the
+                    # very next cycle.
+                    wake = target + 1
                 else:
+                    # Admission is provably blocked until this SM issues
+                    # again, so its next event is the earliest warp wake
+                    # or stall expiry: sleep until then instead of burning
+                    # no-issue steps (latency-bound SMs spend most wakes
+                    # here).
                     wake = sm.next_event_time(target + 1)
                 credited[sm_id] = target + 1
                 if sm.done:

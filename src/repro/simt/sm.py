@@ -22,7 +22,6 @@ lowest-PC-first when nothing else remains to schedule.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,31 +50,6 @@ from repro.simt.executor import (
 from repro.simt.spawn import SpawnUnit
 from repro.simt.stats import NUM_W_BUCKETS, DivergenceSampler, SMStats
 from repro.simt.warp import BLOCKED, FINISHED, READY, Warp
-
-
-WAKE_WHEEL = 512
-"""Timing-wheel span (cycles, power of two) of the calendar scheduler's
-near-wake ring. Wakes landing within this horizon of the wheel cursor are
-filed by list append into ``_wheel[when % WAKE_WHEEL]``; later wakes
-(DRAM queueing pile-ups) overflow into the ``_wake_buckets`` dict +
-``_wake_heap`` far calendar. Must exceed every pipeline latency so the
-overwhelmingly common near case never touches the heap."""
-
-
-def pick_slot(mask: int, rr: int) -> int:
-    """Index the round-robin two-range scan would pick from ``mask``.
-
-    ``mask`` has bit *i* set when ``warps[i]`` is issue-eligible; the scan
-    starting at ``rr`` picks the first eligible index in ``[rr, count)``
-    and wraps to ``[0, rr)``. That is the lowest set bit at index >= rr,
-    else the lowest set bit overall — two O(1) integer operations. Must be
-    called with a non-zero mask. The calendar scheduler's pick; the
-    scheduler property tests lock its equivalence to the scan loop."""
-    high = mask >> rr
-    if high:
-        return rr + ((high & -high).bit_length() - 1)
-    low = mask & ((1 << rr) - 1)
-    return (low & -low).bit_length() - 1
 
 
 @dataclass
@@ -135,31 +109,6 @@ class SM:
         if probe is not None and spawn_unit is not None:
             spawn_unit.probe = probe
         self._rr = 0
-        self._calendar = config.scheduler == "calendar"
-        self._ready_mask = 0
-        """Calendar scheduler: bit ``warp.sched_slot`` set iff the warp is
-        READY with ``ready_at`` at or before the last drained cycle —
-        exactly the set the scan scheduler's per-cycle loop would accept.
-        Maintained by ``_drain_wakes`` (set), the issue pick (clear) and
-        ``_retire_warp`` (shift); always 0 under the scan scheduler."""
-        self._wheel: list[list[Warp]] = [[] for _ in range(WAKE_WHEEL)]
-        """Calendar scheduler: near-wake timing wheel. Slot ``c %
-        WAKE_WHEEL`` lists warps whose ``ready_at`` is ``c``, for wakes
-        within ``WAKE_WHEEL`` cycles of ``_wheel_pos`` (every transition
-        that makes a warp eligible in the future — admission, post-issue
-        latency, barrier release — files it somewhere; ``_drain_wakes``
-        moves due entries into the ready mask). Invariant: every filed
-        wake satisfies ``_wheel_pos <= when < _wheel_pos + WAKE_WHEEL``,
-        so slots never mix laps."""
-        self._wheel_pos = 0
-        """First wheel cycle not yet drained; advances monotonically."""
-        self._wake_buckets: dict[int, list[Warp]] = {}
-        """Calendar scheduler far overflow: ``cycle -> warps`` for wakes
-        at or beyond ``_wheel_pos + WAKE_WHEEL`` when filed."""
-        self._wake_heap: list[int] = []
-        """Min-heap over the keys of ``_wake_buckets``."""
-        if self._calendar:
-            self._select_warp = self._select_warp_calendar
         self._admission_dirty = True
         """False while try_schedule is known to be unable to admit
         anything: every admission blocker (free warp slots, free spawn
@@ -205,9 +154,6 @@ class SM:
         if data_slots is not None:
             warp.data_slot_addr[lanes] = data_slots
         warp.ready_at = cycle + 1
-        if self._calendar:
-            warp.sched_slot = len(self.warps)
-            self._schedule_wake(warp, warp.ready_at)
         self.warps.append(warp)
         if block_id is not None:
             self._block_of_warp[warp.warp_id] = block_id
@@ -349,18 +295,6 @@ class SM:
                 probe.on_idle(cycle, self._idle_cause())
             return False
         self._issue(warp, cycle)
-        if self._calendar and warp.sched_slot >= 0 and warp.status == READY:
-            # The issue armed a new ready_at; file the warp back on the
-            # wake calendar (retired warps lost their slot, BLOCKED warps
-            # wake through the barrier-release path instead). Inlined
-            # _schedule_wake (keep in sync): the calendar's hottest
-            # insert site, and pipeline latencies make the wheel branch
-            # the near-universal case.
-            when = warp.ready_at
-            if when - self._wheel_pos < 512:  # == WAKE_WHEEL
-                self._wheel[when & 511].append(warp)
-            else:
-                self._schedule_wake(warp, when)
         self.last_progress_cycle = cycle
         return True
 
@@ -369,15 +303,11 @@ class SM:
     def next_event_time(self, now: int) -> int | None:
         """Earliest cycle >= ``now`` at which this SM could change state.
 
-        Used by the fast-forward run loop after a cycle with no issue,
-        and by the calendar run loop to put an SM to sleep (both
-        schedulers share this scan: it is O(resident warps), exact, and
-        independent of the wake-calendar structures — cheaper than
-        searching the wheel whenever residency is low, which is precisely
-        when long sleeps happen). While the issue port is stalled the only
-        event is the stall expiring (``step`` does not even admit warps
-        during a stall); otherwise it is the earliest ``ready_at`` of a
-        READY warp.
+        Used by the single-SM loop to fast-forward after a cycle with no
+        issue, and by the multi-SM heap loop to put an SM to sleep. While
+        the issue port is stalled the only event is the stall expiring
+        (``step`` does not even admit warps during a stall); otherwise it
+        is the earliest ``ready_at`` of a READY warp.
         Admission (launch queue, spawn FIFO, partial-warp flush) never
         becomes possible between events: every admission blocker — free
         warp slots, free data slots, formed warps — changes only when this
@@ -458,12 +388,8 @@ class SM:
             return IDLE_BARRIER
         return IDLE_DRAINED
 
-    def _select_warp_scan(self, cycle: int) -> Warp | None:
-        """Round-robin pick starting at ``self._rr`` (two-range scan).
-
-        The reference scheduler: O(warps) per cycle. The calendar
-        scheduler (:meth:`_select_warp_calendar`) reproduces this pick
-        order exactly from its eligibility mask."""
+    def _select_warp(self, cycle: int) -> Warp | None:
+        """Round-robin pick starting at ``self._rr`` (two-range scan)."""
         warps = self.warps
         count = len(warps)
         if count == 0:
@@ -480,117 +406,6 @@ class SM:
                 self._rr = index + 1 if index + 1 < count else 0
                 return warp
         return None
-
-    #: Default pick; ``__init__`` rebinds the instance attribute to
-    #: :meth:`_select_warp_calendar` under ``scheduler="calendar"``.
-    _select_warp = _select_warp_scan
-
-    # -- calendar scheduler ----------------------------------------------------
-
-    def _schedule_wake(self, warp: Warp, when: int) -> None:
-        """File ``warp`` on the wake calendar: it becomes issue-eligible
-        at cycle ``when`` (its ``ready_at``). Duplicate filings are
-        harmless — draining sets an already-set mask bit — and entries for
-        warps that retire or block before draining are skipped there.
-
-        Near wakes (within ``WAKE_WHEEL`` of the wheel cursor) go on the
-        wheel; the cursor-relative test keeps the lap invariant even when
-        this SM has not been stepped (and so not drained) for a while."""
-        if when - self._wheel_pos < WAKE_WHEEL:
-            self._wheel[when & (WAKE_WHEEL - 1)].append(warp)
-            return
-        bucket = self._wake_buckets.get(when)
-        if bucket is None:
-            self._wake_buckets[when] = [warp]
-            heappush(self._wake_heap, when)
-        else:
-            bucket.append(warp)
-
-    def _drain_wakes(self, cycle: int) -> None:
-        """Move every wake due by ``cycle`` into the eligibility mask.
-
-        Out-of-line mirror of the drain inlined in
-        :meth:`_select_warp_calendar` (keep the two in sync); the
-        scheduler property tests drive this one directly to check the
-        mask/calendar invariants."""
-        pos = self._wheel_pos
-        if pos <= cycle:
-            end = cycle + 1
-            if end - pos > WAKE_WHEEL:
-                # Every filed wake is within one lap of ``pos``, so a
-                # longer span than the wheel means all of them are due:
-                # one pass over the whole wheel visits each slot once.
-                pos = end - WAKE_WHEEL
-            wheel = self._wheel
-            mask = self._ready_mask
-            while pos < end:
-                bucket = wheel[pos & (WAKE_WHEEL - 1)]
-                if bucket:
-                    for warp in bucket:
-                        if (warp.sched_slot >= 0 and warp.status == READY
-                                and warp.ready_at <= cycle):
-                            mask |= 1 << warp.sched_slot
-                    del bucket[:]
-                pos += 1
-            self._wheel_pos = end
-            heap = self._wake_heap
-            if heap and heap[0] <= cycle:
-                buckets = self._wake_buckets
-                while heap and heap[0] <= cycle:
-                    for warp in buckets.pop(heappop(heap)):
-                        if (warp.sched_slot >= 0 and warp.status == READY
-                                and warp.ready_at <= cycle):
-                            mask |= 1 << warp.sched_slot
-            self._ready_mask = mask
-
-    def _select_warp_calendar(self, cycle: int) -> Warp | None:
-        """Round-robin pick from the eligibility mask: same order and
-        ``_rr`` cursor updates as the two-range scan, in O(1).
-
-        The wheel drain and :func:`pick_slot` are inlined here (keep in
-        sync with :meth:`_drain_wakes` / :func:`pick_slot`): this runs
-        once per simulated cycle, and the call frames would cost more than
-        the work itself. The far-heap drain stays out of line — it fires
-        only under extreme DRAM queueing."""
-        mask = self._ready_mask
-        pos = self._wheel_pos
-        if pos <= cycle:
-            end = cycle + 1
-            if end - pos > 512:  # == WAKE_WHEEL (all filed wakes due)
-                pos = end - 512
-            wheel = self._wheel
-            while pos < end:
-                bucket = wheel[pos & 511]
-                if bucket:
-                    for warp in bucket:
-                        if (warp.sched_slot >= 0 and warp.status == READY
-                                and warp.ready_at <= cycle):
-                            mask |= 1 << warp.sched_slot
-                    del bucket[:]
-                pos += 1
-            self._wheel_pos = end
-            heap = self._wake_heap
-            if heap and heap[0] <= cycle:
-                buckets = self._wake_buckets
-                while heap and heap[0] <= cycle:
-                    for warp in buckets.pop(heappop(heap)):
-                        if (warp.sched_slot >= 0 and warp.status == READY
-                                and warp.ready_at <= cycle):
-                            mask |= 1 << warp.sched_slot
-            self._ready_mask = mask
-        if not mask:
-            return None
-        rr = self._rr
-        high = mask >> rr
-        if high:
-            index = rr + ((high & -high).bit_length() - 1)
-        else:
-            low = mask & ((1 << rr) - 1)
-            index = (low & -low).bit_length() - 1
-        self._ready_mask = mask & ~(1 << index)
-        warps = self.warps
-        self._rr = index + 1 if index + 1 < len(warps) else 0
-        return warps[index]
 
     def _issue(self, warp: Warp, cycle: int) -> None:
         # Inlined executor.execute (keep the two in sync): dispatch to the
@@ -729,14 +544,18 @@ class SM:
         waiting = self._barriers.setdefault(block_id, [])
         waiting.append(warp)
         warp.status = BLOCKED
+        self._release_barrier_if_complete(block_id, cycle)
+
+    def _release_barrier_if_complete(self, block_id: int, cycle: int) -> None:
+        """Wake the block's barrier waiters once every live warp of the
+        block has arrived (an arrival or a sibling's exit can complete
+        it)."""
+        waiting = self._barriers[block_id]
         if len(waiting) == self._block_live.get(block_id, 0):
-            calendar = self._calendar
             for blocked in waiting:
                 blocked.status = READY
                 blocked.ready_at = cycle + 1
                 blocked.wait_kind = WAIT_PIPE
-                if calendar:
-                    self._schedule_wake(blocked, cycle + 1)
             del self._barriers[block_id]
 
     def _convert_uniform_spawn_to_branch(self, warp: Warp, result) -> bool:
@@ -779,17 +598,6 @@ class SM:
             self.spawn_unit.release_region(warp.formation_region)
         self.warps.remove(warp)
         self._rr = 0 if not self.warps else self._rr % len(self.warps)
-        if self._calendar:
-            # Close the retired warp's mask slot: clear its bit, slide
-            # every higher bit (and the slots they name) down one to
-            # mirror the list removal above.
-            slot = warp.sched_slot
-            warp.sched_slot = -1
-            low = (1 << slot) - 1
-            mask = self._ready_mask & ~(1 << slot)
-            self._ready_mask = (mask & low) | ((mask >> 1) & ~low)
-            for later in self.warps[slot:]:
-                later.sched_slot -= 1
         self.stats.warps_completed += 1
         block_id = self._block_of_warp.pop(warp.warp_id, None)
         if block_id is not None:
@@ -797,15 +605,5 @@ class SM:
             if self._block_live[block_id] == 0:
                 del self._block_live[block_id]
             elif block_id in self._barriers:
-                # A sibling exited; the barrier may now be complete.
-                waiting = self._barriers[block_id]
-                if len(waiting) == self._block_live[block_id]:
-                    calendar = self._calendar
-                    for blocked in waiting:
-                        blocked.status = READY
-                        blocked.ready_at = cycle + 1
-                        blocked.wait_kind = WAIT_PIPE
-                        if calendar:
-                            self._schedule_wake(blocked, cycle + 1)
-                    del self._barriers[block_id]
+                self._release_barrier_if_complete(block_id, cycle)
         self.try_schedule(cycle)

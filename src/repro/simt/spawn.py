@@ -64,10 +64,9 @@ class SpawnUnit:
     Scheduling note: every state change here that can unblock admission
     (a spawn filling a formation region, freed data slots, a flushed
     partial pool) happens inside an owning SM's issue or retirement, and
-    those paths re-arm ``SM._admission_dirty``. The calendar scheduler's
-    run loop relies on that: an SM with a clean admission flag and an
-    empty ready mask can sleep until its next warp wake without polling
-    the spawn unit."""
+    those paths re-arm ``SM._admission_dirty``. The multi-SM heap loop
+    relies on that: an SM with a clean admission flag can sleep until its
+    next warp wake without polling the spawn unit."""
 
     def __init__(self, spawn_mem: BankedMemory, *, warp_size: int,
                  data_base: int, num_data_slots: int, state_words: int,

@@ -56,27 +56,12 @@ class Warp:
     ALU/on-chip pipeline latency, "dram" for an off-chip access). Only
     maintained while a probe is attached (see :mod:`repro.obs`); the
     scheduler never reads it."""
-    sched_slot: int = -1
-    """Index of this warp in its SM's ``warps`` list, or -1 when not
-    resident. Maintained by the SM only under the calendar scheduler
-    (``config.scheduler == "calendar"``), where it names the warp's bit in
-    the SM's issue-eligibility mask; the scan scheduler never reads it.
-    Slots above a retired warp shift down with the list."""
     is_dynamic: bool = False
     kernel_name: str = ""
     issued_instructions: int = 0
     formation_region: int = -1
     """Spawn-memory warp-formation region owned by this (dynamic) warp;
     released back to the spawn unit when the warp retires."""
-    run_left: int = field(init=False, default=0, repr=False)
-    """Remaining accounting-only issues of the deferred instruction run
-    this warp is inside (batched backend only; always 0 under the
-    reference executor)."""
-    run_entry: object = field(init=False, default=None, repr=False)
-    """Stack-top entry captured when the current run was entered."""
-    run_batch: object = field(init=False, default=None, repr=False)
-    """Pending :class:`repro.simt.batched.RunBatch` whose deferred
-    functional effects this warp still awaits, if any."""
 
     def __post_init__(self) -> None:
         self.tids = np.asarray(self.tids, dtype=np.int64)

@@ -12,6 +12,7 @@ from repro.fuzz import (
     run_fuzz,
     run_reference,
 )
+from repro.simt.stats import DivergenceSampler
 
 
 class TestGenerator:
@@ -62,6 +63,25 @@ class TestOracle:
         case = make_case(5, "barrier")
         result = run_case(case, models=("dwf",))
         assert result.skipped
+
+    def test_fast_clock_only_drift_is_caught(self, monkeypatch):
+        """Only the fast clock credits idle spans in bulk. Booking them
+        as stall cycles in the divergence histogram changes no memory
+        image and no per-SM total, so nothing but the exact-vs-base
+        ``run_stats_digest`` comparison can see it."""
+        case = make_case(11, "plain")
+        assert run_case(case).ok
+
+        def idle_span_as_stall(self, start, stop):
+            self._record_span(self.stall, start, stop)
+
+        monkeypatch.setattr(DivergenceSampler, "record_idle_span",
+                            idle_span_as_stall)
+        failures = run_case(case).failures
+        assert {failure.split(":")[0] for failure in failures} == {
+            "pdom_block/exact", "pdom_warp/exact"}, failures
+        assert all("diverge from the fast-clock base run" in failure
+                   for failure in failures), failures
 
 
 class TestCampaign:

@@ -275,59 +275,6 @@ class TestCheckpointDirOverride:
             target.chmod(0o755)
 
 
-class TestLegacyCheckpointManifests:
-    """Manifests written by the pre-wire schema must keep resuming."""
-
-    def checkpointed_job(self, tmp_path):
-        job = SweepJob(scene="conference", mode="pdom_block", preset="tiny",
-                       max_cycles=5_000)
-        manifest = tmp_path / "sweep.jsonl"
-        run_sweep([job], jobs_n=1, checkpoint=manifest)
-        return job, manifest
-
-    def downgrade_to_legacy(self, manifest):
-        """Rewrite the manifest exactly as the PR 4 schema wrote it."""
-        lines = []
-        for line in manifest.read_text().splitlines():
-            record = json.loads(line)
-            record["schema"] = "repro-sweep-checkpoint/1"
-            del record["kind"]
-            del record["job"]
-            lines.append(json.dumps(record, sort_keys=True))
-        manifest.write_text("\n".join(lines) + "\n")
-
-    def test_legacy_manifest_resumes_bit_identically(self, tmp_path,
-                                                     monkeypatch):
-        job, manifest = self.checkpointed_job(tmp_path)
-        fresh = run_sweep([job], jobs_n=1)
-        self.downgrade_to_legacy(manifest)
-
-        def explode(job, injector=None):
-            raise AssertionError(f"{job.describe()} was re-executed")
-
-        monkeypatch.setattr(sweep_module, "execute_job", explode)
-        resumed = run_sweep([job], jobs_n=1, checkpoint=manifest,
-                            resume=True)
-        assert (run_stats_digest(resumed.results[0].stats)
-                == run_stats_digest(fresh.results[0].stats))
-
-    def test_legacy_records_rewrite_as_wire_on_next_append(self, tmp_path):
-        job, manifest = self.checkpointed_job(tmp_path)
-        self.downgrade_to_legacy(manifest)
-        other = SweepJob(scene="conference", mode="pdom_warp", preset="tiny",
-                         max_cycles=5_000)
-        run_sweep([other], jobs_n=1, checkpoint=manifest, resume=True)
-        records = [json.loads(line)
-                   for line in manifest.read_text().splitlines()]
-        assert len(records) == 2
-        assert all(record["schema"] == "repro-wire/1"
-                   for record in records)
-        checkpoint = SweepCheckpoint(manifest)
-        assert checkpoint.load() == 2
-        assert checkpoint.lookup(job) is not None
-        assert checkpoint.lookup(other) is not None
-
-
 class TestResolveJobs:
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "7")

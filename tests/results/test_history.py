@@ -86,15 +86,8 @@ def bench():
 class TestBenchAppendHistory:
     ROWS = [{
         "mode": "spawn", "cycles": 1000,
-        "reference_cyc_per_s": 100, "batched_cyc_per_s": 200,
-        "batched_speedup": 2.0, "calendar_cyc_per_s": 150,
-        "calendar_speedup": 1.5, "exact_cyc_per_s": 90,
+        "fast_cyc_per_s": 100, "exact_cyc_per_s": 90,
         "fast_vs_exact": 1.1,
-    }]
-    SCHEDULER_ROWS = [{
-        "mode": "spawn", "num_sms": 30,
-        "scan_cyc_per_s": 50, "calendar_cyc_per_s": 70,
-        "calendar_speedup": 1.4,
     }]
 
     class FakePreset:
@@ -103,8 +96,7 @@ class TestBenchAppendHistory:
     def refresh(self, bench, committed, monkeypatch, *, rev, dirty):
         monkeypatch.setattr(bench, "_git_rev", lambda: rev)
         monkeypatch.setattr(bench, "_git_dirty", lambda: dirty)
-        bench._append_history(committed, self.FakePreset(), self.ROWS,
-                              self.SCHEDULER_ROWS)
+        bench._append_history(committed, self.FakePreset(), self.ROWS)
 
     def test_dirty_refresh_preserves_clean_entry(self, bench, monkeypatch):
         committed: dict = {}

@@ -1,4 +1,4 @@
-"""Wire-schema contracts: round trips, strictness, and legacy compat.
+"""Wire-schema contracts: round trips, strictness, and typed rejection.
 
 The hypothesis suites generate arbitrary job specs and requests, encode
 them to canonical JSONL, and assert a bit-exact round trip through
@@ -8,13 +8,14 @@ checkpoint files, and the HTTP API all use.
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
-from repro.harness.sweep import SweepJob
+from repro.harness.sweep import SweepCheckpoint, SweepJob
 from repro.serve import wire
 from repro.serve.wire import SimulateRequest, SweepRequest
 
@@ -31,8 +32,6 @@ jobs_st = st.builds(
     seed=st.integers(0, 2**31 - 1),
     max_cycles=st.none() | st.integers(1, 10**9),
     fast_forward=st.none() | st.booleans(),
-    executor=st.none() | st.sampled_from(("reference", "batched")),
-    scheduler=st.none() | st.sampled_from(("scan", "calendar")),
 )
 
 simulate_requests_st = st.builds(
@@ -43,7 +42,6 @@ simulate_requests_st = st.builds(
     ray_kind=st.sampled_from(RAY_KINDS),
     seed=st.integers(0, 2**16),
     max_cycles=st.none() | st.integers(1, 10**6),
-    executor=st.none() | st.sampled_from(("reference", "batched")),
 )
 
 sweep_requests_st = st.builds(
@@ -80,8 +78,8 @@ class TestJobRoundTrip:
     def test_unknown_request_field_gets_a_suggestion(self):
         record = wire.request_to_wire(
             SimulateRequest(scene="conference", mode="spawn"))
-        record["scheddler"] = "scan"
-        with pytest.raises(ConfigError, match="scheduler"):
+        record["max_cycle"] = 5_000
+        with pytest.raises(ConfigError, match="Did you mean 'max_cycles'"):
             wire.request_from_wire(record)
 
 
@@ -114,7 +112,7 @@ class TestRequestRoundTrip:
     def test_simulate_request_to_job_preserves_every_field(self, request):
         job = request.to_job()
         for name in ("scene", "mode", "preset", "ray_kind", "seed",
-                     "max_cycles", "fast_forward", "executor", "scheduler"):
+                     "max_cycles", "fast_forward"):
             assert getattr(job, name) == getattr(request, name)
 
     def test_empty_sweep_request_rejected(self):
@@ -144,39 +142,56 @@ class TestParseLine:
             wire.from_wire({"schema": wire.WIRE_SCHEMA, "kind": "mystery"})
 
 
-class TestLegacyCheckpointCompat:
-    """PR 4 manifests (``repro-sweep-checkpoint/1``) must keep loading."""
+REMOVED_KNOBS = (("executor", "reference"), ("scheduler", "scan"))
 
-    def legacy_record(self, job, stats_doc):
-        # The exact shape SweepCheckpoint.record wrote before the wire
-        # module existed: no "kind", no embedded job spec.
-        return {
-            "schema": wire.LEGACY_CHECKPOINT_SCHEMA,
-            "key": list(job.key),
-            "preset": job.preset,
-            "digest": job.config_digest(),
-            "num_rays": 64,
-            "verified": True,
-            "wall_seconds": 0.5,
-            "stats": stats_doc,
-        }
 
-    def test_legacy_line_normalizes_to_result(self, tiny_stats_doc):
+class TestRemovedKnobs:
+    """Records that still name the removed ``executor``/``scheduler``
+    knobs fail with a typed ConfigError, never a bare TypeError."""
+
+    @pytest.mark.parametrize("knob,value", REMOVED_KNOBS)
+    def test_simulate_request_naming_a_removed_knob(self, knob, value):
+        record = wire.request_to_wire(
+            SimulateRequest(scene="conference", mode="spawn"))
+        record[knob] = value
+        with pytest.raises(ConfigError,
+                           match=f"unknown simulate request field '{knob}'"):
+            wire.from_wire(record)
+
+    @pytest.mark.parametrize("knob,value", REMOVED_KNOBS)
+    def test_sweep_request_naming_a_removed_knob(self, knob, value):
+        record = wire.request_to_wire(SweepRequest(jobs=(
+            SweepJob(scene="conference", mode="spawn", preset="tiny"),)))
+        record["jobs"][0][knob] = value
+        with pytest.raises(ConfigError, match=f"unknown job field '{knob}'"):
+            wire.from_wire(record)
+
+    @pytest.mark.parametrize("knob,value", REMOVED_KNOBS)
+    def test_stats_record_naming_a_removed_knob(self, tiny_stats_doc, knob,
+                                                value):
+        stats = copy.deepcopy(tiny_stats_doc)
+        stats["config"][knob] = value
+        with pytest.raises(ConfigError,
+                           match=f"unknown GPUConfig option '{knob}'"):
+            wire.from_wire({"schema": wire.WIRE_SCHEMA, "kind": "stats",
+                            "stats": stats})
+
+    def test_checkpoint_resimulates_an_older_result(self, tmp_path,
+                                                    tiny_stats_doc):
+        """A checkpointed result whose config names a removed knob is
+        schema drift: lookup misses, so the sweep re-simulates it."""
         job = SweepJob(scene="conference", mode="spawn", preset="tiny")
-        line = json.dumps(self.legacy_record(job, tiny_stats_doc))
-        record = wire.parse_line(line)
-        assert record is not None
-        assert record["schema"] == wire.WIRE_SCHEMA
-        assert record["kind"] == "result"
-        assert wire.record_key(record) == (job.key, job.config_digest())
-
-    def test_legacy_result_rehydrates_bit_identically(self, tiny_stats_doc):
-        job = SweepJob(scene="conference", mode="spawn", preset="tiny")
-        record = wire.parse_line(
-            json.dumps(self.legacy_record(job, tiny_stats_doc)))
-        result = wire.result_from_wire(record, job=job)
-        assert result.job is job
-        assert result.stats.to_dict() == tiny_stats_doc
+        stats = copy.deepcopy(tiny_stats_doc)
+        stats["config"]["scheduler"] = "scan"
+        record = {"schema": wire.WIRE_SCHEMA, "kind": "result",
+                  "key": list(job.key), "digest": job.config_digest(),
+                  "num_rays": 64, "verified": True, "wall_seconds": 0.5,
+                  "stats": stats}
+        path = tmp_path / "checkpoint.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        checkpoint = SweepCheckpoint(path)
+        assert checkpoint.load() == 1
+        assert checkpoint.lookup(job) is None
 
 
 class TestMalformedResultDiagnostics:

@@ -14,6 +14,12 @@ execution models across several scene/ray/seed configurations:
 - dynamic warp formation (idealized DWF core, its own cycle loop),
 - MIMD theoretical (analytic; the clock toggle must be a no-op).
 
+On a machine with more than one SM the two clocks run different loops:
+the fast clock steps only the SMs due on a min-heap of per-SM wake
+cycles, the exact clock steps every live SM every cycle. The multi-SM
+cases compare the two loops at 4 SMs and at the paper's 30, on both the
+statistics and an attached :class:`~repro.obs.probe.TraceSession`.
+
 A truncated cycle budget keeps each run small while still covering
 admission stalls, DRAM waits, spawn-pool formation, and barrier idling —
 the spans the fast clock actually skips.
@@ -21,6 +27,7 @@ the spans the fast clock actually skips.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import asdict
 
 import numpy as np
@@ -42,6 +49,7 @@ from repro.kernels.traditional import (
     dynamic_instruction_model,
     traditional_program,
 )
+from repro.obs.probe import TraceSession
 from repro.simt import GPU, mimd_theoretical
 from repro.simt.dwf import run_dwf
 
@@ -94,6 +102,30 @@ def run_fingerprint(result) -> dict:
     }
 
 
+def session_fingerprint(session: TraceSession) -> dict:
+    """Everything a finalized TraceSession reports: machine and DRAM
+    intervals, per-SM events, and the stall/idle attribution."""
+    return {
+        "machine": session.machine_intervals().tolist(),
+        "dram": session.dram.trimmed().tolist(),
+        "rows": session.interval_rows(),
+        "events": [probe.events for probe in session.sms],
+        "attribution": session.stall_attribution(),
+        "cycles": session.cycles,
+    }
+
+
+def assert_clocks_match(mode: str, workload, max_cycles: int) -> None:
+    """Fast (heap loop) and exact (per-cycle loop) runs of ``mode`` agree
+    on every statistic and on everything the probes observed."""
+    exact, fast = (run_mode(mode, workload, max_cycles=max_cycles,
+                            fast_forward=fast_forward,
+                            trace=TraceSession(interval=512))
+                   for fast_forward in (False, True))
+    assert run_fingerprint(fast) == run_fingerprint(exact)
+    assert session_fingerprint(fast.trace) == session_fingerprint(exact.trace)
+
+
 class TestGPUModels:
     """PDOM block/warp and µ-kernel spawn (with and without conflicts)."""
 
@@ -111,6 +143,30 @@ class TestGPUModels:
         result = run_mode("spawn", workload, max_cycles=MAX_CYCLES)
         sm = result.stats.sm_stats
         assert sm.idle_cycles + sm.stall_cycles > 0
+
+
+class TestMultiSM:
+    """Several SMs: the heap loop against the per-cycle loop."""
+
+    @pytest.mark.parametrize("mode", ("pdom_block", "spawn"))
+    def test_four_sms(self, workload, mode):
+        preset = dataclasses.replace(workload.preset, num_sms=4)
+        assert_clocks_match(mode, dataclasses.replace(workload,
+                                                      preset=preset),
+                            MAX_CYCLES)
+
+    @pytest.mark.parametrize("scene,ray_kind", (("conference", "primary"),
+                                                ("atrium", "gi")))
+    @pytest.mark.parametrize("mode", ("pdom_block", "spawn"))
+    def test_thirty_sms(self, scene, ray_kind, mode):
+        """The paper's machine, with one 64-thread launch block per SM so
+        that every SM runs."""
+        preset = dataclasses.replace(
+            get_preset("tiny"), name="tiny-30sm", num_sms=30,
+            image_width=48, image_height=40, max_cycles=20_000)
+        workload = prepare_workload(scene, preset, ray_kind=ray_kind)
+        assert workload.num_rays == 30 * 64
+        assert_clocks_match(mode, workload, preset.max_cycles)
 
 
 class TestPersistentThreads:

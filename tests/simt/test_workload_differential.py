@@ -1,12 +1,11 @@
 """Differential tests for the path-tracing and BFS workload families.
 
-The backend-identity contract enforced for the ray-tracing kernels by
-test_backend_differential.py extends unchanged to the new µ-kernel
-families: for every machine mode, the batched structure-of-arrays
-executor (both clocks) and the calendar warp scheduler must be
-**bit-identical** to the reference interpreter's scan-loop run in every
-reported statistic — cycles, counters, divergence histograms, per-thread
-commits.
+The clock contract enforced for the ray-tracing kernels by
+test_fastforward_differential.py extends unchanged to the µ-kernel
+families: for every machine mode, the event-driven fast clock must be
+**bit-identical** to the exact cycle loop in every reported statistic —
+cycles, counters, divergence histograms, per-thread commits — and every
+run, truncated or not, must verify against the functional oracle.
 
 The workloads here are the ones the families exist for:
 
@@ -38,7 +37,6 @@ from repro.harness.runner import (
     prepare_workload,
     run_mode,
 )
-from repro.harness.sweep import run_stats_digest
 from repro.kernels.pathtrace import pathtrace_program
 from repro.simt.dwf import run_dwf
 
@@ -56,10 +54,6 @@ CONFIGS = (
 
 GPU_MODES = ("pdom_block", "pdom_warp", "spawn", "spawn_conflicts")
 
-#: Scheduler identity is checked on the two modes with the most
-#: scheduler-sensitive behaviour (warp scheduling and spawn formation).
-SCHEDULER_MODES = ("pdom_warp", "spawn")
-
 
 @pytest.fixture(scope="module", params=CONFIGS,
                 ids=["-".join(c[:2]) for c in CONFIGS])
@@ -69,7 +63,7 @@ def workload(request):
 
 
 def run_fingerprint(result) -> dict:
-    """Every statistic a RunStats reports, backend-comparable."""
+    """Every statistic a RunStats reports, clock-comparable."""
     divergence = result.stats.divergence
     return {
         "cycles": result.stats.cycles,
@@ -89,38 +83,17 @@ def run_fingerprint(result) -> dict:
     }
 
 
-class TestExecutorBackends:
-    """Batched executor vs reference interpreter, both clocks."""
+class TestClocks:
+    """Fast clock vs the exact cycle loop."""
 
     @pytest.mark.parametrize("mode", GPU_MODES)
-    def test_batched_matches_reference_both_clocks(self, workload, mode):
-        reference = run_fingerprint(
-            run_mode(mode, workload, max_cycles=MAX_CYCLES,
-                     executor="reference"))
-        for fast_forward in (True, False):
-            batched = run_mode(mode, workload, max_cycles=MAX_CYCLES,
-                               fast_forward=fast_forward,
-                               executor="batched")
-            assert run_fingerprint(batched) == reference, (
-                f"{workload.scene_name}/{workload.ray_kind} {mode} "
-                f"batched/{'fast' if fast_forward else 'exact'} diverges "
-                f"from reference")
-
-
-class TestWarpSchedulers:
-    """Calendar scheduler vs the scan loop, across both executors."""
-
-    @pytest.mark.parametrize("mode", SCHEDULER_MODES)
-    def test_calendar_matches_scan(self, workload, mode):
-        reference = run_stats_digest(
-            run_mode(mode, workload, max_cycles=MAX_CYCLES,
-                     executor="reference", scheduler="scan").stats)
-        for executor in ("reference", "batched"):
-            calendar = run_mode(mode, workload, max_cycles=MAX_CYCLES,
-                                executor=executor, scheduler="calendar")
-            assert run_stats_digest(calendar.stats) == reference, (
-                f"{workload.scene_name}/{workload.ray_kind} {mode} "
-                f"calendar/{executor} diverges from scan/reference")
+    def test_fast_matches_exact(self, workload, mode):
+        exact, fast = (run_mode(mode, workload, max_cycles=MAX_CYCLES,
+                                fast_forward=fast_forward)
+                       for fast_forward in (False, True))
+        assert run_fingerprint(fast) == run_fingerprint(exact), (
+            f"{workload.scene_name}/{workload.ray_kind} {mode} fast clock "
+            f"diverges from exact")
 
 
 class TestResultsMatchReference:
@@ -145,27 +118,17 @@ class TestResultsMatchReference:
 class TestDWF:
     """Idealized DWF on the path-tracing megakernel (no atomics there)."""
 
-    def test_executor_is_a_noop_and_results_verify(self, workload):
+    def test_results_verify(self, workload):
         if workload.ray_kind != "path":
             pytest.skip("DWF covers the path-tracing megakernel only")
-        fingerprints = []
-        for executor in ("reference", "batched"):
-            config = config_for_mode("pdom_warp", workload.preset,
-                                     executor=executor)
-            image = image_for_workload(workload)
-            result = run_dwf(config, pathtrace_program(), "pt_trace",
-                             image.global_mem, image.const_mem,
-                             num_threads=min(workload.num_rays, 736),
-                             max_cycles=MAX_CYCLES)
-            fingerprints.append({
-                "cycles": result.cycles,
-                "sm": asdict(result.stats),
-                "rays_completed": result.rays_completed,
-            })
-            bounces, tri = image.results()
-            done = ~np.isnan(bounces)
-            ref = workload.reference
-            if done.any():
-                assert np.array_equal(bounces[done], ref.t[done])
-                assert np.array_equal(tri[done], ref.triangle[done])
-        assert fingerprints[0] == fingerprints[1]
+        config = config_for_mode("pdom_warp", workload.preset)
+        image = image_for_workload(workload)
+        run_dwf(config, pathtrace_program(), "pt_trace", image.global_mem,
+                image.const_mem, num_threads=min(workload.num_rays, 736),
+                max_cycles=MAX_CYCLES)
+        bounces, tri = image.results()
+        done = ~np.isnan(bounces)
+        ref = workload.reference
+        if done.any():
+            assert np.array_equal(bounces[done], ref.t[done])
+            assert np.array_equal(tri[done], ref.triangle[done])

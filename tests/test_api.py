@@ -1,4 +1,4 @@
-"""The ``repro.api`` façade, config validation, and deprecation shims."""
+"""The ``repro.api`` façade, config validation, and stats serialization."""
 
 from __future__ import annotations
 
@@ -117,49 +117,6 @@ class TestLazyExports:
             repro.not_a_real_name
 
 
-class TestDeprecationShims:
-    """The pre-1.0 underscore spellings warn; the public names do not."""
-
-    def test_underscore_build_workload_warns(self):
-        from repro.harness import runner
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            runner._build_workload("conference", get_preset("tiny"))
-
-    def test_underscore_run_mode_warns(self, workload):
-        from repro.harness import runner
-        with pytest.warns(DeprecationWarning, match="repro.api.run_mode"):
-            runner._run_mode("pdom_warp", workload, max_cycles=1_000)
-
-    def test_underscore_config_for_mode_warns(self):
-        from repro.harness import runner
-        with pytest.warns(DeprecationWarning):
-            runner._config_for_mode("spawn", get_preset("tiny"))
-
-    def test_underscore_launch_for_mode_warns(self):
-        from repro.harness import runner
-        with pytest.warns(DeprecationWarning):
-            runner._launch_for_mode("spawn", 64)
-
-    def test_shims_delegate(self, workload):
-        from repro.harness import runner
-        with pytest.warns(DeprecationWarning):
-            old = runner._run_mode("pdom_warp", workload, max_cycles=5_000)
-        new = api.simulate(workload, "pdom_warp", max_cycles=5_000)
-        assert old.stats.to_dict() == new.stats.to_dict()
-
-    def test_public_names_do_not_warn(self, workload, recwarn):
-        import warnings as _warnings
-
-        from repro.harness import runner
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", DeprecationWarning)
-            runner.config_for_mode("spawn", get_preset("tiny"))
-            runner.launch_for_mode("spawn", 64)
-            runner.run_mode("pdom_warp", workload, max_cycles=1_000)
-            assert api.build_workload is runner.build_workload
-            assert api.run_mode is runner.run_mode
-
-
 class TestConfigValidation:
     def test_unknown_key_suggests(self):
         with pytest.raises(ConfigError, match="Did you mean 'num_sms'"):
@@ -211,6 +168,23 @@ class TestStatsSerialization:
         document["version"] = 999
         with pytest.raises(ConfigError, match="version"):
             RunStats.from_dict(document)
+
+    @pytest.mark.parametrize("key,value", (("scheduler", "scan"),
+                                           ("executor", "reference")))
+    def test_removed_config_key_is_a_config_error(self, stats, key, value):
+        """Documents written while ``GPUConfig`` still had the executor
+        and scheduler knobs carry both keys; they fail with the same
+        did-you-mean error as ``replace``, not a bare TypeError."""
+        document = stats.to_dict()
+        document["config"][key] = value
+        with pytest.raises(ConfigError,
+                           match=f"unknown GPUConfig option '{key}'"):
+            RunStats.from_dict(document)
+
+    def test_config_round_trips_through_from_dict(self):
+        config = GPUConfig().replace(num_sms=4, memory_ideal=True,
+                                     spawn_enabled=True)
+        assert GPUConfig.from_dict(config.to_dict()) == config
 
     def test_digest_stable_under_round_trip(self, stats):
         rebuilt = RunStats.from_dict(stats.to_dict())

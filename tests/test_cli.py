@@ -49,12 +49,6 @@ class TestParser:
         assert args.retries == 3
         assert args.job_timeout is None
 
-    def test_fuzz_backends_flag(self):
-        args = build_parser().parse_args(
-            ["fuzz", "--backends", "reference,batched"])
-        assert args.backends == "reference,batched"
-        assert build_parser().parse_args(["fuzz"]).backends == ""
-
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
@@ -189,14 +183,13 @@ class TestCommands:
         assert code == 0
         assert out_file.read_bytes().startswith(b"P6 8 8 255")
 
-    def test_fuzz_unknown_backend_exits_2(self, capsys):
-        assert main(["fuzz", "--cases", "1", "--backends", "turbo"]) == 2
+    def test_fuzz_unknown_model_exits_2(self, capsys):
+        assert main(["fuzz", "--cases", "1", "--models", "turbo"]) == 2
         err = capsys.readouterr().err
-        assert "unknown backend 'turbo'" in err
-        assert "reference" in err and "batched" in err
+        assert "unknown model 'turbo'" in err
+        assert "pdom_block" in err and "spawn" in err
 
-    def test_fuzz_backend_pair_clean(self, capsys):
-        code = main(["fuzz", "--cases", "2", "--quiet",
-                     "--backends", "reference,batched"])
+    def test_fuzz_campaign_clean(self, capsys):
+        code = main(["fuzz", "--cases", "2", "--quiet"])
         assert code == 0
         assert "0 with divergences" in capsys.readouterr().out
