@@ -11,7 +11,8 @@ Top-level convenience exports; see the subpackages for the full API:
 - :mod:`repro.obs` — cycle-attribution probes and trace exporters,
 - :mod:`repro.harness` — presets, runner, per-figure experiments,
 - :mod:`repro.api` — the stable façade (``simulate``/``sweep``),
-- :mod:`repro.serve` — the job daemon, wire schema, and sharded sweeps.
+- :mod:`repro.serve` — the job daemon, wire schema, and the sweep
+  manifest that worker processes claim jobs from.
 """
 
 from repro.config import GPUConfig, paper_config, scaled_config
@@ -22,8 +23,7 @@ __version__ = "1.0.0"
 #: Façade names resolved lazily (PEP 562) so ``import repro`` stays cheap
 #: and free of the harness's heavier imports until they are needed.
 _API_EXPORTS = ("simulate", "sweep", "RunResult", "SweepJob", "SweepResults",
-                "RetryPolicy", "FailedJob", "SweepCheckpoint",
-                "TraceSession", "MODES")
+                "RetryPolicy", "FailedJob", "TraceSession", "MODES")
 
 
 def __getattr__(name: str):
@@ -44,7 +44,6 @@ __all__ = [
     "ReproError",
     "RetryPolicy",
     "RunResult",
-    "SweepCheckpoint",
     "SweepJob",
     "SweepResults",
     "TraceSession",

@@ -4,8 +4,8 @@ Two calls cover the whole workflow:
 
 - :func:`simulate` — one (scene, mode) simulation, optionally observed by
   a :class:`repro.obs.TraceSession`;
-- :func:`sweep` — many independent simulations fanned over worker
-  processes.
+- :func:`sweep` — many independent simulations, serially or on
+  ``repro worker`` processes.
 
 Everything else (workload building, per-mode configs and launch specs,
 ``run_mode``) is re-exported here under its stable public name; import
@@ -22,14 +22,6 @@ import time
 from typing import Callable, Iterable
 
 from repro.errors import ConfigError
-from repro.fuzz import (
-    FuzzReport,
-    load_case,
-    run_case,
-    run_fuzz,
-    save_case,
-    shrink_case,
-)
 from repro.harness.presets import PRESETS, SimPreset, get_preset
 from repro.harness.runner import (
     MODES,
@@ -47,7 +39,6 @@ from repro.harness.sweep import (
     FaultInjector,
     JobResult,
     RetryPolicy,
-    SweepCheckpoint,
     SweepJob,
     SweepResults,
     run_stats_digest,
@@ -55,6 +46,18 @@ from repro.harness.sweep import (
 )
 from repro.obs.probe import TraceSession
 from repro.results.store import ResultsStore, default_store, maybe_record
+
+#: Fuzzer names re-exported lazily (PEP 562): ``import repro.api`` stays
+#: free of the conformance fuzzer until one of them is used.
+_FUZZ_EXPORTS = ("FuzzReport", "load_case", "run_case", "run_fuzz",
+                 "save_case", "shrink_case")
+
+
+def __getattr__(name: str):
+    if name in _FUZZ_EXPORTS:
+        import repro.fuzz
+        return getattr(repro.fuzz, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _resolve_probes(probes) -> TraceSession | None:
@@ -132,17 +135,19 @@ def sweep(jobs: Iterable, jobs_n: int | None = None,
     ``jobs`` may mix :class:`SweepJob` specs, mappings of ``SweepJob``
     fields, and positional tuples ``(scene, mode, preset[, ray_kind,
     seed])``. ``jobs_n`` picks the worker count (default: ``REPRO_JOBS``
-    or the CPU count); results keep the input order and are bit-identical
-    across worker counts.
+    or the CPU count): 1 runs serially in-process, more runs that many
+    ``repro worker`` processes on one manifest. Results keep the input
+    order and are bit-identical across worker counts.
 
     Fault tolerance: failing jobs retry per ``retry`` (a
     :class:`RetryPolicy` — attempts, exponential backoff, per-job
-    timeout); worker crashes respawn the pool and quarantine the culprit.
+    timeout); a crashed or hung worker costs only the job it held.
     ``strict=True`` (default) raises :class:`repro.errors.SweepError` if
     any job permanently failed; ``strict=False`` returns partial results
-    with the ``failures`` records attached. ``checkpoint`` streams
-    completed jobs into a JSONL manifest and ``resume=True`` serves
-    already-checkpointed jobs bit-identically instead of re-running them.
+    with the ``failures`` records attached. ``checkpoint`` is the manifest
+    path every result is appended to, and ``resume=True`` serves jobs
+    that already have a result there bit-identically instead of
+    re-running them.
     """
     job_list = []
     for job in jobs:
@@ -169,7 +174,6 @@ __all__ = [
     "RetryPolicy",
     "RunResult",
     "SimPreset",
-    "SweepCheckpoint",
     "SweepJob",
     "SweepResults",
     "TraceSession",

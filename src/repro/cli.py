@@ -4,13 +4,13 @@ Commands:
 
 - ``experiments [--preset P] [--only table1,fig8,...] [--jobs N]
   [--checkpoint PATH] [--resume] [--retries N] [--job-timeout S]`` —
-  regenerate the paper's tables and figures; ``--jobs`` fans the
-  simulations over worker processes (default ``os.cpu_count()``,
+  regenerate the paper's tables and figures; ``--jobs N`` runs the
+  simulations on N ``repro worker`` processes (default ``os.cpu_count()``,
   ``REPRO_JOBS`` override; results are bit-identical to ``--jobs 1``).
-  Failed jobs retry with backoff and are quarantined, completed jobs
-  stream into the checkpoint manifest, and ``--resume`` skips everything
-  already checkpointed; the command exits non-zero (with a summary) when
-  any job permanently fails or comes back unverified,
+  Failed jobs retry with backoff and are quarantined, every result is
+  appended to the ``--checkpoint`` manifest, and ``--resume`` skips every
+  job that already has a result there; the command exits non-zero (with
+  a summary) when any job permanently fails or comes back unverified,
 - ``run --scene S --mode M [--preset P] [--rays shadow] [--fast|--exact]
   [--profile [N]]`` — one simulation with full metrics (``--fast``, the
   default, uses the event-driven clock; ``--exact`` ticks every cycle;
@@ -42,9 +42,10 @@ Commands:
   checkpoint-backed instant answers; see :mod:`repro.serve.server`),
 - ``submit --url URL --scene S --mode M [...]`` — submit one simulation
   to a running daemon and (by default) wait for its result,
-- ``worker --manifest PATH [--once] [--id NAME]`` — claim and execute
-  jobs from a shared shard manifest; point several workers (on any
-  hosts sharing the filesystem) at the same file to split a sweep.
+- ``worker --manifest PATH [--once] [--id NAME] [--poll S]`` — claim and
+  execute jobs from a sweep manifest under the retry policy written
+  there; ``experiments --jobs N`` starts N of these, and workers on other
+  hosts sharing the filesystem can join the same file.
 """
 
 from __future__ import annotations
@@ -363,12 +364,7 @@ def _cmd_fuzz(args) -> int:
             print(f"  seed={case.seed}: {failure}")
         if args.shrink:
             def still_fails(candidate):
-                # Re-runs the oracle with the same backend and scheduler
-                # pairs, so a backend- or scheduler-only divergence keeps
-                # reproducing as it shrinks.
-                return bool(run_case(candidate, models=models,
-                                     backends=backends,
-                                     schedulers=schedulers).failures)
+                return bool(run_case(candidate, models=models).failures)
             case = shrink_case(case, still_fails,
                                max_evals=args.max_shrink_evals)
         path = os.path.join(args.out, f"case-{case.seed}.json")
@@ -402,13 +398,12 @@ def _cmd_serve(args) -> int:
 
 def _cmd_worker(args) -> int:
     from repro.errors import ConfigError
-    from repro.harness.sweep import RetryPolicy, stderr_progress
+    from repro.harness.sweep import stderr_progress
     from repro.serve.worker import run_worker
 
     try:
         executed = run_worker(args.manifest, worker=args.id or None,
                               poll_seconds=args.poll, once=args.once,
-                              retry=RetryPolicy(max_attempts=args.retries),
                               progress=stderr_progress)
     except ConfigError as exc:
         print(f"worker failed: {exc}", file=sys.stderr)
@@ -453,11 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write figure/table data as CSV files here "
                             "instead of printing")
     p_exp.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker processes for the simulation sweep "
-                            "(default: REPRO_JOBS or all cores; 1 = serial; "
-                            "results are bit-identical either way)")
+                       help="repro worker processes for the simulation "
+                            "sweep (default: REPRO_JOBS or all cores; "
+                            "1 = serial in-process; results are "
+                            "bit-identical either way)")
     p_exp.add_argument("--checkpoint", default="", metavar="PATH",
-                       help="stream completed sweep jobs into this JSONL "
+                       help="append every sweep result to this JSONL "
                             "manifest (enables crash-safe restarts)")
     p_exp.add_argument("--resume", action="store_true",
                        help="skip jobs already recorded in the checkpoint "
@@ -626,9 +622,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.set_defaults(func=_cmd_submit)
 
     p_worker = sub.add_parser(
-        "worker", help="claim and execute jobs from a shard manifest")
+        "worker", help="claim and execute jobs from a sweep manifest")
     p_worker.add_argument("--manifest", required=True, metavar="PATH",
-                          help="shared JSONL shard manifest (see "
+                          help="shared JSONL sweep manifest (see "
                                "repro.serve.manifest)")
     p_worker.add_argument("--id", default="", metavar="NAME",
                           help="claim ident (default: a unique "
@@ -636,9 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument("--once", action="store_true",
                           help="exit when no open job remains instead of "
                                "polling for new ones")
-    p_worker.add_argument("--retries", type=int, default=3, metavar="N",
-                          help="executions per claimed job before a "
-                               "failure record is written (default 3)")
     p_worker.add_argument("--poll", type=float, default=0.5,
                           metavar="SECONDS",
                           help="manifest poll interval when idle "

@@ -131,10 +131,8 @@ def table3(preset: SimPreset) -> dict:
             "render": format_table(rows, title="Table III — scenes")}
 
 
-def table4(preset: SimPreset, jobs: int | None = None) -> dict:
+def table4(preset: SimPreset) -> dict:
     """Table IV: per-frame bandwidth, traditional vs dynamic."""
-    if jobs is not None and resolve_jobs(jobs) > 1:
-        warm_workloads(BENCHMARK_SCENES, preset.name, jobs_n=jobs)
     per_scene = {}
     for name in BENCHMARK_SCENES:
         workload = prepare_workload(name, preset)
@@ -217,19 +215,8 @@ def fig9(preset: SimPreset, scene: str = "conference",
 
 
 def fig8(preset: SimPreset, modes=("pdom_block", "pdom_warp", "spawn"),
-         results: SweepResults | None = None,
-         jobs: int | None = None) -> dict:
-    """Figure 8: rays/second per scene and branching/scheduling method.
-
-    The full scene x mode grid is one parallel sweep when ``jobs`` asks
-    for workers (or when precomputed ``results`` are passed in).
-    """
-    if results is None and jobs is not None and resolve_jobs(jobs) > 1:
-        warm_workloads(BENCHMARK_SCENES, preset.name, jobs_n=jobs)
-        results = run_sweep([SweepJob(scene=scene, mode=mode,
-                                      preset=preset.name)
-                             for scene in BENCHMARK_SCENES
-                             for mode in modes], jobs_n=jobs)
+         results: SweepResults | None = None) -> dict:
+    """Figure 8: rays/second per scene and branching/scheduling method."""
     rows = []
     for scene in BENCHMARK_SCENES:
         for mode in modes:
@@ -263,8 +250,7 @@ def fig8(preset: SimPreset, modes=("pdom_block", "pdom_warp", "spawn"),
 
 
 def fig10(preset: SimPreset, scene: str = "conference",
-          results: SweepResults | None = None,
-          jobs: int | None = None) -> dict:
+          results: SweepResults | None = None) -> dict:
     """Figure 10: branching performance vs the MIMD theoretical ideal.
 
     The paper's shape: PDOM gains nothing from an ideal memory system
@@ -272,10 +258,6 @@ def fig10(preset: SimPreset, scene: str = "conference",
     with ideal memory.
     """
     modes = ("pdom_block", "pdom_ideal", "spawn", "spawn_ideal")
-    if results is None and jobs is not None and resolve_jobs(jobs) > 1:
-        results = run_sweep([SweepJob(scene=scene, mode=mode,
-                                      preset=preset.name)
-                             for mode in modes], jobs_n=jobs)
     workload = prepare_workload(scene, preset)
     mimd = mimd_rays_per_second(workload)
     bars = []
@@ -381,16 +363,8 @@ def ablation_persistent(preset: SimPreset, workload=None,
 
 
 def _family_figure(title: str, preset: SimPreset, scenes, ray_kind: str,
-                   results: SweepResults | None = None,
-                   jobs: int | None = None) -> dict:
+                   results: SweepResults | None = None) -> dict:
     """Scene x mode grid for one workload family (path tracing, BFS)."""
-    if results is None and jobs is not None and resolve_jobs(jobs) > 1:
-        warm_workloads([(scene, ray_kind) for scene in scenes],
-                       preset.name, jobs_n=jobs)
-        results = run_sweep([SweepJob(scene=scene, mode=mode,
-                                      preset=preset.name, ray_kind=ray_kind)
-                             for scene in scenes
-                             for mode in WORKLOAD_MODES], jobs_n=jobs)
     rows = []
     for scene in scenes:
         for mode in WORKLOAD_MODES:
@@ -420,8 +394,8 @@ def _family_figure(title: str, preset: SimPreset, scenes, ray_kind: str,
     return {"rows": rows, "summary": summary, "render": render}
 
 
-def pathtrace(preset: SimPreset, results: SweepResults | None = None,
-              jobs: int | None = None) -> dict:
+def pathtrace(preset: SimPreset,
+              results: SweepResults | None = None) -> dict:
     """Multi-bounce path tracing: the roulette loop as a spawn chain.
 
     The russian-roulette termination is a data-dependent *outer* loop on
@@ -431,11 +405,10 @@ def pathtrace(preset: SimPreset, results: SweepResults | None = None,
     """
     return _family_figure(
         "Path tracing — roulette bounce loops (ray_kind=path)",
-        preset, ("conference",), "path", results, jobs)
+        preset, ("conference",), "path", results)
 
 
-def bfs(preset: SimPreset, results: SweepResults | None = None,
-        jobs: int | None = None) -> dict:
+def bfs(preset: SimPreset, results: SweepResults | None = None) -> dict:
     """Graph traversal: frontier expansion over a shared worklist.
 
     A non-rendering irregular workload: per-vertex work varies with
@@ -445,7 +418,7 @@ def bfs(preset: SimPreset, results: SweepResults | None = None,
     """
     return _family_figure(
         "Graph traversal — frontier BFS (ray_kind=bfs)",
-        preset, GRAPH_SCENES, "bfs", results, jobs)
+        preset, GRAPH_SCENES, "bfs", results)
 
 
 def _pairs(preset: SimPreset, pairs) -> list[SweepJob]:
@@ -525,12 +498,12 @@ def run_selected(names, preset: SimPreset, jobs: int | None = None,
 
     All simulations the requested figures need run first — as a single
     deduplicated sweep over ``jobs`` workers (workloads are pre-warmed
-    into the cache so pool workers never race on a scene build) — then
-    each figure renders from the shared results.
+    into the cache so worker processes never race on a scene build) —
+    then each figure renders from the shared results.
 
     ``strict``/``retry``/``checkpoint``/``resume`` forward to
     :func:`~repro.harness.sweep.run_sweep` (retry policy, raise-vs-partial
-    contract, and the resumable checkpoint manifest). ``results_out``, when
+    contract, and the resumable sweep manifest). ``results_out``, when
     given a list, receives the shared :class:`SweepResults` so callers
     (the CLI exit-code path) can inspect failures and verification flags
     after the figures render.

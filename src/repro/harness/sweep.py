@@ -1,17 +1,21 @@
-"""Parallel sweep engine: fan independent simulations over worker processes.
+"""Sweep engine: run independent simulations serially or on worker processes.
 
 Every paper artifact is a sweep of independent ``(scene, ray_kind, mode)``
-simulations. This module enumerates them as declarative, pickle-cheap
-:class:`SweepJob` specs and executes them either serially in-process
-(``jobs=1`` — the determinism reference path) or over a
-``concurrent.futures.ProcessPoolExecutor``.
+simulations. This module enumerates them as declarative :class:`SweepJob`
+specs and executes them one of two ways, chosen by the worker count:
 
-Worker protocol: only the job spec crosses the process boundary on the way
-in (the preset travels by *name*), and only the :class:`JobResult` — stats
-plus a handful of scalars — on the way out. Workers never receive or
-return ``GPU``/``Workload`` objects; they hydrate workloads themselves
-through the persistent cache (:mod:`repro.harness.cache`), so a sweep's
-second run skips every scene build, kd-tree build, and reference trace.
+- ``jobs_n=1`` (or one job left to run): serially in-process — the
+  determinism reference path;
+- ``jobs_n > 1``: the jobs are published on a claim manifest
+  (:mod:`repro.serve.manifest`) and ``jobs_n`` ``repro worker``
+  processes — the same command a worker on another host runs — claim and
+  execute them; the driver merges their records in input order.
+
+Only the job spec crosses the process boundary on the way in (the preset
+travels by *name*), and only a ``result`` record — stats plus a handful
+of scalars — on the way out. Workers hydrate workloads themselves through
+the persistent cache (:mod:`repro.harness.cache`), so a sweep's second
+run skips every scene build, kd-tree build, and reference trace.
 
 The simulator is deterministic, so ``--jobs N``, ``--jobs 1``, and a
 direct :func:`~repro.harness.runner.run_mode` call produce bit-identical
@@ -21,18 +25,18 @@ direct :func:`~repro.harness.runner.run_mode` call produce bit-identical
 Fault tolerance (see ``docs/architecture.md`` for the failure model):
 
 - each job gets a retry budget with exponential backoff and an optional
-  per-job wall-clock timeout (:class:`RetryPolicy`);
-- a worker crash (``BrokenProcessPool``) respawns the pool, requeues the
-  surviving jobs without penalty, and quarantines the offending job as a
+  per-job wall-clock timeout (:class:`RetryPolicy`), applied by one
+  helper (:func:`run_job`) on the serial path and in every worker;
+- a worker that dies or hangs costs its one claimed job an attempt; the
+  driver reopens the job on a replacement worker and quarantines it as a
   :class:`FailedJob` once its attempts are spent — the rest of the sweep
   keeps running;
 - ``strict=True`` (the default) raises :class:`~repro.errors.SweepError`
   if anything permanently failed; ``strict=False`` returns partial
   :class:`SweepResults` carrying the failure records;
-- completed jobs stream into an on-disk JSONL checkpoint manifest
-  (:class:`SweepCheckpoint`) keyed by job key + preset + config digest;
-  ``resume=True`` serves matching records bit-identically instead of
-  re-simulating them;
+- with a ``checkpoint`` path, every result and failure is appended to
+  that manifest; ``resume=True`` serves results matching job key + config
+  digest bit-identically instead of re-simulating them;
 - :class:`FaultInjector` (``REPRO_FAULT_SPEC``) deterministically injects
   crash/hang/exception faults into :func:`execute_job` so every recovery
   path is testable in CI without flakes.
@@ -48,9 +52,7 @@ import sys
 import tempfile
 import threading
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -60,18 +62,10 @@ from repro.errors import (
     SchedulingError,
     SweepError,
 )
-from repro.harness.cache import (
-    atomic_write_text,
-    resolve_cache_dir,
-    resolve_env_dir,
-)
+from repro.harness.cache import resolve_cache_dir, resolve_env_dir
 from repro.harness.presets import get_preset
 from repro.harness.runner import StatsView, prepare_workload, run_mode
 from repro.simt.gpu import RunStats
-
-#: How often the pool loop polls futures for completion and watchdog
-#: expiry — see ``_run_pool``.
-_POLL_SECONDS = 0.1
 
 
 @dataclass(frozen=True)
@@ -158,10 +152,11 @@ class RetryPolicy:
     ``max_attempts`` bounds how many times one job may execute (first try
     included) before it is quarantined as a :class:`FailedJob`.
     ``backoff_seconds`` is the base delay before a retry; it doubles on
-    every further attempt. ``timeout_seconds`` is a per-job wall-clock
-    budget: a ``SIGALRM`` timer inside the worker turns hangs in Python
-    code into retryable ``TimeoutError``s, and a driver-side watchdog
-    kills and respawns the pool for hard hangs the signal cannot reach.
+    every further attempt. ``timeout_seconds`` is a per-attempt
+    wall-clock budget: a ``SIGALRM`` timer turns hangs in Python code into
+    retryable ``TimeoutError``s, and on worker processes the driver kills
+    a worker whose attempt outlives ``2 × timeout + 1`` s — the backstop
+    for hard hangs the signal cannot reach.
     """
 
     max_attempts: int = 3
@@ -273,15 +268,15 @@ class FaultInjector:
     - ``exception`` — raise :class:`~repro.errors.FaultInjectionError`;
     - ``hang`` — sleep far past any sane job budget (exercises the
       timeout/watchdog path; only use with a ``timeout_seconds`` policy);
-    - ``crash`` — ``os._exit`` the process. Only meaningful under a
-      process pool, where it becomes a ``BrokenProcessPool``; in a serial
-      sweep it would kill the driver, exactly like a real crash would.
+    - ``crash`` — ``os._exit`` the process. Only meaningful on worker
+      processes, where the driver sees the worker die; in a serial sweep
+      it would kill the driver, exactly like a real crash would.
 
     Each clause fires on the first ``count`` executions of the matching
     job and never again — the firing count is claimed through exclusive
     token files in ``REPRO_FAULT_DIR`` (default: a per-spec directory
-    under the system temp dir), so the count holds across retries, pool
-    respawns, and worker processes.
+    under the system temp dir), so the count holds across retries,
+    replacement workers, and worker processes.
     """
 
     KINDS = ("crash", "hang", "exception")
@@ -394,28 +389,13 @@ def execute_job(job: SweepJob, injector: FaultInjector | None = None) -> JobResu
 
 
 def _execute_with_deadline(job: SweepJob,
-                           timeout_seconds: float | None,
-                           start_log: str | None = None,
-                           token: str | None = None) -> JobResult:
+                           timeout_seconds: float | None) -> JobResult:
     """Run one job under a ``SIGALRM`` wall-clock budget.
 
-    This is the pool-worker entry point (and the serial path when a
-    timeout is set): a hang inside Python code becomes an ordinary
-    ``TimeoutError`` the driver can retry. The driver's deadline watchdog
-    (pool kill + respawn) remains the backstop for hard hangs the signal
-    cannot interrupt. Platforms without ``SIGALRM``, and non-main threads,
-    fall back to an unguarded run.
-
-    ``start_log``/``token``: before anything else runs, the worker appends
-    ``token=pid`` to the driver's breadcrumb file (O_APPEND — atomic for
-    lines this short). The breadcrumb survives worker death, so when the
-    pool breaks the driver knows which worker process each in-flight
-    attempt was running in and can pin the blame on the job whose worker
-    actually died abnormally (see ``_run_pool``).
+    A hang inside Python code becomes an ordinary ``TimeoutError`` the
+    retry loop can retry. Platforms without ``SIGALRM``, and non-main
+    threads, fall back to an unguarded run.
     """
-    if start_log is not None and token is not None:
-        with open(start_log, "a") as handle:
-            handle.write(f"{token}={os.getpid()}\n")
     if (timeout_seconds is None or not hasattr(signal, "SIGALRM")
             or threading.current_thread() is not threading.main_thread()):
         return execute_job(job)
@@ -434,7 +414,37 @@ def _execute_with_deadline(job: SweepJob,
         signal.signal(signal.SIGALRM, previous)
 
 
-# -- checkpoint manifest -----------------------------------------------------
+def run_job(job: SweepJob, retry: RetryPolicy,
+            emit: Callable[[str], None], first_attempt: int = 1,
+            on_retry: Callable[[], object] | None = None
+            ) -> JobResult | FailedJob:
+    """Execute ``job`` under ``retry``; a :class:`FailedJob` when spent.
+
+    The one retry loop: the serial path and every ``repro worker`` run
+    jobs through it. ``first_attempt`` > 1 continues a budget that
+    earlier attempts (a worker that died) already used; ``on_retry``
+    runs before each retry (workers re-append their claim, so the
+    driver's hang watchdog times each attempt, not the whole loop).
+    """
+    attempt = first_attempt
+    while True:
+        try:
+            return _execute_with_deadline(job, retry.timeout_seconds)
+        except Exception as exc:  # quarantine, don't kill the sweep
+            kind = "timeout" if isinstance(exc, TimeoutError) \
+                else "exception"
+            error = f"{type(exc).__name__}: {exc}"
+            if attempt >= retry.max_attempts:
+                return FailedJob(job=job, attempts=attempt, kind=kind,
+                                 error=error)
+            emit(f"[retry] {job.describe()}  attempt "
+                 f"{attempt + 1}/{retry.max_attempts} after {error}")
+            delay = retry.backoff_for(attempt)
+            if delay:
+                time.sleep(delay)
+            attempt += 1
+            if on_retry is not None:
+                on_retry()
 
 
 def default_checkpoint_path(tag: str) -> pathlib.Path:
@@ -465,68 +475,6 @@ def default_checkpoint_path(tag: str) -> pathlib.Path:
     return resolve_cache_dir() / "checkpoints" / f"{tag}.jsonl"
 
 
-class SweepCheckpoint:
-    """On-disk JSONL manifest of completed sweep jobs.
-
-    One ``repro-wire/1`` ``result`` record per line (see
-    :mod:`repro.serve.wire`), each embedding the versioned
-    ``RunStats.to_dict`` payload plus the job key, preset name, and the
-    job's :meth:`SweepJob.config_digest`. Lookup requires key *and* digest
-    to match, so a resumed sweep never serves a result computed under
-    different settings, and :meth:`lookup` reconstructs the
-    :class:`JobResult` through ``RunStats.from_dict`` — bit-identical for
-    every reported counter. The file is replaced atomically on every
-    append (:func:`repro.harness.cache.atomic_write_text`); corrupt or
-    foreign lines are skipped on load, never fatal.
-    """
-
-    def __init__(self, path: str | pathlib.Path):
-        self.path = pathlib.Path(path)
-        self._records: dict[tuple, dict] = {}
-        self._lines: list[str] = []
-
-    def load(self) -> int:
-        """(Re-)read the manifest; returns the number of usable records."""
-        from repro.serve import wire
-
-        self._records.clear()
-        self._lines = []
-        if not self.path.exists():
-            return 0
-        for line in self.path.read_text().splitlines():
-            record = wire.parse_line(line)
-            if record is None or record.get("kind") != "result":
-                continue
-            try:
-                key = wire.record_key(record)
-            except (KeyError, TypeError):
-                continue
-            self._records[key] = record
-            self._lines.append(wire.dump_line(record))
-        return len(self._records)
-
-    def lookup(self, job: SweepJob) -> JobResult | None:
-        """The checkpointed result for ``job``, or None if absent/stale."""
-        from repro.serve import wire
-
-        record = self._records.get((job.key, job.config_digest()))
-        if record is None:
-            return None
-        try:
-            return wire.result_from_wire(record, job=job)
-        except (ConfigError, KeyError, TypeError, ValueError):
-            return None  # schema drift: re-simulate rather than fail
-
-    def record(self, result: JobResult) -> None:
-        """Append one completed job and atomically republish the file."""
-        from repro.serve import wire
-
-        record = wire.result_to_wire(result)
-        self._records[wire.record_key(record)] = record
-        self._lines.append(wire.dump_line(record))
-        atomic_write_text(self.path, "\n".join(self._lines) + "\n")
-
-
 # -- sweep driver ------------------------------------------------------------
 
 
@@ -554,97 +502,88 @@ def _check_duplicate_jobs(job_list: list[SweepJob]) -> None:
         seen[job.key] = job
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Shut a pool down hard, terminating workers so hung or crashed jobs
-    can never block driver exit. Uses the executor's private process table
-    (there is no public kill API); terminating an idle worker is harmless."""
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        if process.is_alive():
-            process.terminate()
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
 def run_sweep(jobs: Iterable[SweepJob], jobs_n: int | None = None,
               progress: Callable[[str], None] | None = None, *,
               retry: RetryPolicy | None = None, strict: bool = True,
-              checkpoint: str | pathlib.Path | SweepCheckpoint | None = None,
+              checkpoint: str | pathlib.Path | None = None,
               resume: bool = False) -> SweepResults:
     """Execute all jobs; results keep the input order.
 
-    ``jobs_n=1`` (or a single job) runs serially in-process — the exact
-    same :func:`execute_job` code path the pool workers run, so the two can
-    be diffed bit-for-bit. Larger values fan out over a process pool.
+    ``jobs_n=1`` (or a single job left to run) runs serially in-process —
+    the exact :func:`execute_job` code path the workers run, so the two
+    can be diffed bit-for-bit. Larger values publish the jobs on a claim
+    manifest and start that many ``repro worker`` processes on it.
 
     Fault tolerance: every job gets ``retry.max_attempts`` executions with
-    exponential backoff (and a per-job wall-clock timeout when
-    ``retry.timeout_seconds`` is set); a worker crash respawns the pool and
-    requeues the innocent jobs without penalty. With ``strict=True`` (the
-    default) any permanently-failed job raises
-    :class:`~repro.errors.SweepError` once the rest of the sweep has
-    finished; ``strict=False`` returns partial :class:`SweepResults` whose
-    ``failures`` list the quarantined jobs.
+    exponential backoff (and a per-attempt wall-clock timeout when
+    ``retry.timeout_seconds`` is set); a worker crash costs only the job
+    that worker held. With ``strict=True`` (the default) any
+    permanently-failed job raises :class:`~repro.errors.SweepError` once
+    the rest of the sweep has finished; ``strict=False`` returns partial
+    :class:`SweepResults` whose ``failures`` list the quarantined jobs.
 
-    ``checkpoint`` (a path or :class:`SweepCheckpoint`) streams every
-    completed job into a JSONL manifest; ``resume=True`` additionally
-    serves jobs already present in the manifest — matched by job key *and*
-    config digest — without re-simulating them, bit-identically.
+    ``checkpoint`` is the manifest path: every result and failure is
+    appended to it (the workers' manifest, with ``jobs_n > 1``; without a
+    checkpoint they use a temporary one). ``resume=True`` serves jobs that
+    already have a result there — matched by job key *and* config digest
+    — without re-simulating them, bit-identically; every other job runs.
     """
     job_list = list(jobs)
     _check_duplicate_jobs(job_list)
     retry = RetryPolicy() if retry is None else retry
     if resume and checkpoint is None:
         raise ConfigError("resume=True requires a checkpoint manifest path")
-    manifest: SweepCheckpoint | None = None
+    manifest = None
     if checkpoint is not None:
-        manifest = checkpoint if isinstance(checkpoint, SweepCheckpoint) \
-            else SweepCheckpoint(checkpoint)
-        manifest.load()
+        # Imported at call time: the manifest module imports this one.
+        from repro.serve.manifest import ShardManifest
+        manifest = ShardManifest(checkpoint)
+    cached = manifest.load() if resume else None
     emit = progress if progress is not None else (lambda line: None)
     total = len(job_list)
     results: list[JobResult | None] = [None] * total
     failures: list[FailedJob] = []
     done = 0
 
-    def finish(index: int, result: JobResult) -> None:
+    def settle(index: int, outcome: JobResult | FailedJob,
+               executed_here: bool) -> None:
         nonlocal done
-        results[index] = result
         done += 1
-        if manifest is not None:
-            manifest.record(result)
-        # Opt-in results warehouse: every freshly executed job records one
-        # store line (resumed-from-checkpoint jobs don't come through here,
-        # so a resume never double-records). No-op without
-        # REPRO_RESULTS_DIR.
-        from repro.results.store import maybe_record
-        maybe_record(result, source="sweep")
-        emit(_progress_line(done, total, result))
-
-    def quarantine(failure: FailedJob) -> None:
-        nonlocal done
-        failures.append(failure)
-        done += 1
-        emit(f"[{done}/{total}] {failure.describe()}")
+        if isinstance(outcome, FailedJob):
+            failures.append(outcome)
+            if executed_here and manifest is not None:
+                manifest.record_failure(outcome.job, outcome.kind,
+                                        outcome.error, outcome.attempts)
+            emit(f"[{done}/{total}] {outcome.describe()}")
+            return
+        results[index] = outcome
+        if executed_here:
+            if manifest is not None:
+                manifest.record_result(outcome)
+            # Opt-in results warehouse (no-op without REPRO_RESULTS_DIR):
+            # one store line per job executed in this process; workers
+            # record their own, and resumed jobs never come through here.
+            from repro.results.store import maybe_record
+            maybe_record(outcome, source="sweep")
+        emit(_progress_line(done, total, outcome))
 
     remaining: list[int] = []
     for index, job in enumerate(job_list):
-        cached = manifest.lookup(job) if (manifest is not None
-                                          and resume) else None
-        if cached is not None:
-            results[index] = cached
-            done += 1
-            emit(f"[{done}/{total}] {job.describe()}  "
-                 f"resumed from checkpoint")
-        else:
+        result = cached.cached_result(job) if cached is not None else None
+        if result is None:
             remaining.append(index)
+            continue
+        results[index] = result
+        done += 1
+        emit(f"[{done}/{total}] {job.describe()}  resumed from checkpoint")
 
-    if remaining:
-        workers = min(resolve_jobs(jobs_n), len(remaining))
-        if workers <= 1:
-            _run_serial(job_list, remaining, retry, finish, quarantine, emit)
-        else:
-            _run_pool(job_list, remaining, workers, retry, finish,
-                      quarantine, emit)
+    workers = min(resolve_jobs(jobs_n), len(remaining))
+    if workers > 1:
+        _run_on_workers(job_list, remaining, workers, retry, manifest,
+                        emit, settle)
+    else:
+        for index in remaining:
+            settle(index, run_job(job_list[index], retry, emit), True)
 
     swept = SweepResults([r for r in results if r is not None],
                          failures=failures)
@@ -658,203 +597,27 @@ def run_sweep(jobs: Iterable[SweepJob], jobs_n: int | None = None,
     return swept
 
 
-def _run_serial(job_list, remaining, retry, finish, quarantine, emit) -> None:
-    """In-process execution with the same retry/backoff policy as the pool.
+def _run_on_workers(job_list, remaining, workers, retry, manifest, emit,
+                    settle) -> None:
+    """Publish ``remaining`` on ``manifest`` (a temporary one if None) and
+    drive ``workers`` worker processes until every job has settled."""
+    from repro.serve.manifest import ShardManifest, drive_workers
 
-    There is no crash isolation here — a worker-killing fault takes the
-    driver with it, exactly as any in-process crash would — but exceptions
-    and (via ``SIGALRM``) hangs retry and quarantine identically.
-    """
-    for index in remaining:
-        job = job_list[index]
-        for attempt in range(1, retry.max_attempts + 1):
-            try:
-                finish(index, _execute_with_deadline(job,
-                                                     retry.timeout_seconds))
-                break
-            except Exception as exc:  # quarantine, don't kill the sweep
-                kind = "timeout" if isinstance(exc, TimeoutError) \
-                    else "exception"
-                error = f"{type(exc).__name__}: {exc}"
-                if attempt >= retry.max_attempts:
-                    quarantine(FailedJob(job=job, attempts=attempt,
-                                         kind=kind, error=error))
-                    break
-                emit(f"[retry] {job.describe()}  attempt "
-                     f"{attempt + 1}/{retry.max_attempts} after {error}")
-                delay = retry.backoff_for(attempt)
-                if delay:
-                    time.sleep(delay)
-
-
-def _run_pool(job_list, remaining, workers, retry, finish, quarantine,
-              emit) -> None:
-    """Pool execution with crash recovery and a hang watchdog.
-
-    Crash attribution: every worker appends ``token=pid`` to a breadcrumb
-    file the moment it picks a job up (see :func:`_execute_with_deadline`).
-    When the pool breaks, the culprit's worker has died with its own
-    abnormal exit code, while the executor tears the *other* workers down
-    with SIGTERM — so only the broken future whose breadcrumb pid exited
-    abnormally is penalized; co-running jobs whose workers were merely
-    torn down requeue without burning an attempt. If no broken future can
-    be pinned that way (no breadcrumb, or exit codes unavailable), every
-    broken future is penalized so progress is guaranteed; the respawn
-    budget below backstops a pathologically crashy environment.
-    """
-    pending = deque(remaining)
-    attempts = dict.fromkeys(remaining, 0)
-    not_before = dict.fromkeys(remaining, 0.0)
-    log_fd, start_log = tempfile.mkstemp(prefix="repro-sweep-started-")
-    os.close(log_fd)
-    pool = ProcessPoolExecutor(max_workers=workers)
-    running: dict = {}      # future -> job index
-    tokens: dict = {}       # future -> breadcrumb token of this attempt
-    deadline: dict = {}     # future -> driver-side watchdog deadline
-    respawns = 0
-    max_respawns = workers + retry.max_attempts * len(remaining) + 4
-    # The in-worker SIGALRM should fire first; the driver watchdog only
-    # steps in for hard hangs, so give the signal a generous head start.
-    watchdog_budget = None if retry.timeout_seconds is None \
-        else retry.timeout_seconds * 2.0 + 1.0
-
-    def breadcrumb_pids() -> dict:
-        """token -> worker pid, parsed from the breadcrumb file."""
-        mapping: dict = {}
-        try:
-            lines = pathlib.Path(start_log).read_text().split()
-        except OSError:
-            return mapping
-        for line in lines:
-            token, sep, pid = line.partition("=")
-            if sep and pid.isdigit():
-                mapping[token] = int(pid)
-        return mapping
-
-    def guilty_worker_pids() -> set:
-        """Pids of pool workers that died abnormally.
-
-        The executor tears surviving workers down with SIGTERM when the
-        pool breaks, so ``-SIGTERM`` (and a clean 0) mark innocents; any
-        other exit code is the crash culprit. Waits briefly for the
-        executor's teardown to settle so exit codes are readable.
-        """
-        procs = dict(getattr(pool, "_processes", None) or {})
-        settle = time.monotonic() + 1.0
-        while time.monotonic() < settle \
-                and any(p.exitcode is None for p in procs.values()):
-            time.sleep(0.01)
-        teardown = -int(getattr(signal, "SIGTERM", 15))
-        return {pid for pid, proc in procs.items()
-                if proc.exitcode not in (None, 0, teardown)}
-
-    def requeue(index: int, kind: str, error: str,
-                penalized: bool = True) -> None:
-        if not penalized:
-            attempts[index] -= 1
-            pending.appendleft(index)
-            return
-        if attempts[index] >= retry.max_attempts:
-            quarantine(FailedJob(job=job_list[index], attempts=attempts[index],
-                                 kind=kind, error=error))
-            return
-        emit(f"[retry] {job_list[index].describe()}  attempt "
-             f"{attempts[index] + 1}/{retry.max_attempts} after {kind}: "
-             f"{error}")
-        not_before[index] = time.monotonic() \
-            + retry.backoff_for(attempts[index])
-        pending.append(index)
-
-    clean = False
+    index_of = {job_list[index].key: index for index in remaining}
+    temporary = None
+    if manifest is None:
+        handle, temporary = tempfile.mkstemp(prefix="repro-sweep-",
+                                             suffix=".jsonl")
+        os.close(handle)
+        manifest = ShardManifest(temporary)
     try:
-        while pending or running:
-            # (1) fill free slots with jobs whose backoff has elapsed
-            now = time.monotonic()
-            deferred = []
-            while pending and len(running) < workers:
-                index = pending.popleft()
-                if not_before[index] > now:
-                    deferred.append(index)
-                    continue
-                attempts[index] += 1
-                token = f"{index}:{attempts[index]}"
-                future = pool.submit(_execute_with_deadline, job_list[index],
-                                     retry.timeout_seconds, start_log, token)
-                running[future] = index
-                tokens[future] = token
-                if watchdog_budget is not None:
-                    deadline[future] = now + watchdog_budget
-            for index in reversed(deferred):
-                pending.appendleft(index)
-            if not running:
-                wake = min(not_before[index] for index in pending)
-                time.sleep(min(max(wake - time.monotonic(), 0.01), 0.5))
-                continue
-            # (2) collect completions
-            finished, _ = wait(list(running), timeout=_POLL_SECONDS,
-                               return_when=FIRST_COMPLETED)
-            broken: list = []
-            pool_broken = False
-            for future in finished:
-                index = running.pop(future)
-                deadline.pop(future, None)
-                try:
-                    result = future.result()
-                except BrokenProcessPool:
-                    pool_broken = True
-                    broken.append((index, tokens.get(future)))
-                except TimeoutError as exc:
-                    requeue(index, "timeout", str(exc))
-                except Exception as exc:
-                    requeue(index, "exception",
-                            f"{type(exc).__name__}: {exc}")
-                else:
-                    finish(index, result)
-                tokens.pop(future, None)
-            if broken:
-                guilty_pids = guilty_worker_pids()
-                crumbs = breadcrumb_pids()
-                suspect = [crumbs.get(token) in guilty_pids
-                           for _, token in broken]
-                blame_all = not any(suspect)
-                for (index, token), guilty in zip(broken, suspect):
-                    requeue(index, "crash",
-                            "worker process died (BrokenProcessPool)",
-                            penalized=blame_all or guilty)
-            # (3) watchdog: hard hangs the in-worker SIGALRM never reached
-            now = time.monotonic()
-            expired = [future for future, limit in deadline.items()
-                       if now > limit]
-            for future in expired:
-                index = running.pop(future)
-                deadline.pop(future, None)
-                tokens.pop(future, None)
-                pool_broken = True
-                requeue(index, "timeout",
-                        f"exceeded the {watchdog_budget:.1f}s driver "
-                        f"watchdog; worker killed")
-            # (4) respawn a broken/poisoned pool; survivors requeue freely
-            if pool_broken:
-                for future, index in running.items():
-                    requeue(index, "crash", "pool respawned",
-                            penalized=False)
-                running.clear()
-                tokens.clear()
-                deadline.clear()
-                respawns += 1
-                if respawns > max_respawns:
-                    raise SweepError(
-                        f"worker pool died {respawns} times; giving up "
-                        f"(is the environment killing workers?)")
-                _kill_pool(pool)
-                pool = ProcessPoolExecutor(max_workers=workers)
-        clean = True
+        drive_workers(manifest, [job_list[index] for index in remaining],
+                      workers, retry, emit,
+                      lambda job, outcome: settle(index_of[job.key],
+                                                  outcome, False))
     finally:
-        pathlib.Path(start_log).unlink(missing_ok=True)
-        if clean:
-            pool.shutdown(wait=True, cancel_futures=True)
-        else:
-            _kill_pool(pool)
+        if temporary is not None:
+            pathlib.Path(temporary).unlink(missing_ok=True)
 
 
 def _warm_one(spec: tuple[str, str, str, int]) -> int:

@@ -1,6 +1,6 @@
 """Results warehouse: an append-only, cross-run store of completed runs.
 
-Sweep outputs used to be per-run artifacts — a checkpoint manifest here, a
+Sweep outputs used to be per-run artifacts — a sweep manifest here, a
 ``BENCH_*.json`` history list there — with no way to ask "did revision B
 get slower than revision A on the same configuration?". This package is
 that missing layer:
@@ -11,9 +11,9 @@ that missing layer:
   ``config_digest`` plus a ``run_stats_digest`` fingerprint, stamped with
   git revision, a working-tree ``dirty`` flag, and a timestamp. Setting
   ``REPRO_RESULTS_DIR`` opts every execution path in —
-  ``api.simulate``, ``api.sweep``/``repro experiments`` (via the sweep
-  driver), ``repro worker`` shards, and the serve daemon all record
-  through one hook;
+  ``api.simulate``, ``api.sweep``/``repro experiments`` (serial sweeps
+  record in the driver, parallel ones in each ``repro worker``
+  process), and the serve daemon all record through one hook;
 - :mod:`repro.results.history` — the clean-vs-dirty upsert rules shared
   by the ``BENCH_*`` per-revision history sections (a dirty-tree refresh
   may never replace a committed revision's honest point);

@@ -2,10 +2,11 @@
 
 One record per completed run, one JSON line per record, published with
 ``O_APPEND`` single-line appends (atomic for lines this short — the same
-discipline the shard manifest and crash breadcrumbs rely on), so any
-number of sweep workers, daemons, and CLI runs can share one store
-without locking. Loading tolerates torn tail lines and foreign records,
-exactly like :func:`repro.serve.wire.parse_line`.
+discipline the sweep manifest relies on), so any number of sweep
+workers, daemons, and CLI runs can share one store without locking.
+Loading goes through the manifest's line reader,
+:func:`repro.serve.wire.parse_line`, with this store's schema: torn tail
+lines and foreign records are skipped.
 
 Record shape (sorted keys on disk)::
 
@@ -210,23 +211,15 @@ class ResultsStore:
 
     def load(self) -> list[dict]:
         """Every usable ``run`` record in file (append) order."""
+        # Imported at call time: the serve package imports this module.
+        from repro.serve.wire import parse_line
+
         if not self.path.exists():
             return []
-        records = []
-        for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail line from an interrupted writer
-            if not isinstance(record, dict) \
-                    or record.get("schema") != RESULTS_SCHEMA \
-                    or record.get("kind") != "run":
-                continue
-            records.append(record)
-        return records
+        records = (parse_line(line, RESULTS_SCHEMA)
+                   for line in self.path.read_text().splitlines())
+        return [record for record in records
+                if record is not None and record.get("kind") == "run"]
 
     def __len__(self) -> int:
         return len(self.load())

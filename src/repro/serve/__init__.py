@@ -1,16 +1,17 @@
-"""Simulation-as-a-service: job daemon, wire schema, sharded sweeps.
+"""Simulation-as-a-service: job daemon, wire schema, sweep manifest.
 
 The package turns the single-process harness into a campaign manager:
 
 - :mod:`repro.serve.wire` — the versioned ``repro-wire/1`` JSON schema
-  that job specs, checkpoint records, claim records, and results all
-  travel through (one schema, one compat story);
-- :mod:`repro.serve.manifest` — a shared, append-only JSONL manifest
-  that lets worker processes on any host *claim* sweep jobs atomically
-  and publish results; the driver merges partials bit-identically to a
-  serial run;
+  that job specs, manifest records, and results all travel through (one
+  schema, one compat story);
+- :mod:`repro.serve.manifest` — the one append-only JSONL sweep log: the
+  checkpoint of every sweep, and the claim queue that ``run_sweep(...,
+  jobs_n=N)`` publishes for its N worker processes (workers on other
+  hosts may join); the driver merges results bit-identically to a serial
+  run;
 - :mod:`repro.serve.worker` — the ``repro worker --manifest PATH`` claim
-  loop run by each shard;
+  loop each worker process runs;
 - :mod:`repro.serve.server` — the stdlib-only ``repro serve`` HTTP
   daemon (``POST /v1/jobs``, NDJSON event streams, instant answers on
   checkpoint hits);
@@ -19,7 +20,7 @@ The package turns the single-process harness into a campaign manager:
 """
 
 from repro.serve.client import ServeClient
-from repro.serve.manifest import ShardManifest, run_sharded_sweep
+from repro.serve.manifest import ShardManifest
 from repro.serve.server import JobManager, ReproServer, serve_forever
 from repro.serve.wire import (
     WIRE_SCHEMA,
@@ -41,7 +42,6 @@ __all__ = [
     "WIRE_SCHEMA",
     "from_wire",
     "request_digest",
-    "run_sharded_sweep",
     "run_worker",
     "serve_forever",
     "to_wire",

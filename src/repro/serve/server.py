@@ -25,13 +25,13 @@ endpoint                     behaviour
                              ``run_stats_digest``)
 ===========================  ===============================================
 
-Caching: every job checkpoints through the standard sweep manifest
-(:class:`~repro.harness.sweep.SweepCheckpoint`) keyed by the request's
-content digest, so resubmitting a finished request — to the same daemon
-*or a freshly restarted one* — answers from the checkpoint without
-re-simulating, bit-identically. The job status reports ``cached_jobs``
-vs ``executed_jobs`` so callers (and the CI smoke test) can assert that
-no re-execution happened.
+Caching: every request runs as ``run_sweep(..., checkpoint=path,
+resume=True)`` on a sweep manifest (:mod:`repro.serve.manifest`) named
+by the request's content digest, so resubmitting a finished request — to
+the same daemon *or a freshly restarted one* — answers from the
+manifest's results without re-simulating, bit-identically. The job
+status reports ``cached_jobs`` vs ``executed_jobs`` so callers (and the
+CI smoke test) can assert that no re-execution happened.
 """
 
 from __future__ import annotations
@@ -46,13 +46,13 @@ from urllib.parse import parse_qs, urlparse
 from repro.errors import ConfigError, ReproError
 from repro.harness.sweep import (
     RetryPolicy,
-    SweepCheckpoint,
     default_checkpoint_path,
     run_stats_digest,
     run_sweep,
 )
 from repro.obs.progress import EventLog
 from repro.serve import wire
+from repro.serve.manifest import ShardManifest
 
 #: Largest request body the daemon will read, in bytes. A sweep request
 #: is a few hundred bytes per job; this bounds hostile/broken clients.
@@ -105,7 +105,7 @@ class Job:
 class JobManager:
     """Owns the job table; executes each submission on a worker thread.
 
-    ``checkpoint_dir`` overrides where per-request checkpoint manifests
+    ``checkpoint_dir`` overrides where per-request sweep manifests
     live (default: :func:`~repro.harness.sweep.default_checkpoint_path`,
     which itself honours ``REPRO_CHECKPOINT_DIR``). ``inline=True`` runs
     jobs synchronously inside :meth:`submit` — no threads, used by tests
@@ -188,10 +188,10 @@ class JobManager:
     def _execute(self, job: Job) -> None:
         request = job.request
         sweep_jobs = self._sweep_jobs(request)
-        checkpoint = SweepCheckpoint(self._checkpoint_path(job.digest))
-        checkpoint.load()
+        checkpoint = self._checkpoint_path(job.digest)
+        state = ShardManifest(checkpoint).load()
         job.cached_jobs = sum(
-            1 for spec in sweep_jobs if checkpoint.lookup(spec) is not None)
+            1 for spec in sweep_jobs if state.cached_result(spec) is not None)
         job.executed_jobs = len(sweep_jobs) - job.cached_jobs
         if job.cached_jobs:
             job.events.emit(
@@ -205,25 +205,9 @@ class JobManager:
                                 timeout_seconds=request.job_timeout)
             jobs_n = request.jobs_n
 
-        if isinstance(request, wire.SweepRequest) and request.shards > 0:
-            from repro.serve.manifest import run_sharded_sweep
-
-            manifest = self._checkpoint_path(job.digest).with_suffix(
-                ".shards.jsonl")
-            results = run_sharded_sweep(
-                sweep_jobs, manifest, shards=request.shards,
-                progress=job.events.emit, strict=False, retry=retry,
-                resume=True)
-            # Sharded results flow into the request checkpoint too, so a
-            # resubmission is served instantly regardless of sharding.
-            for result in results:
-                if checkpoint.lookup(result.job) is None:
-                    checkpoint.record(result)
-        else:
-            results = run_sweep(sweep_jobs, jobs_n=jobs_n,
-                                progress=job.events.emit, strict=False,
-                                retry=retry, checkpoint=checkpoint,
-                                resume=True)
+        results = run_sweep(sweep_jobs, jobs_n=jobs_n,
+                            progress=job.events.emit, strict=False,
+                            retry=retry, checkpoint=checkpoint, resume=True)
 
         job.results = []
         for result in results:

@@ -1,9 +1,9 @@
 """The versioned ``repro-wire/1`` JSON schema for everything that travels.
 
-Checkpoint-manifest lines, the versioned ``RunStats.to_dict`` payload
-and the job specs the CLI/api accept share one envelope, so the job
-server, the shard manifest, and the checkpoint files all speak one
-language::
+Manifest lines, the versioned ``RunStats.to_dict`` payload and the job
+specs the CLI/api accept share one envelope, so the job server, the
+sweep manifest (checkpoint and worker claims alike), and the HTTP API all
+speak one language::
 
     {"schema": "repro-wire/1", "kind": <kind>, ...}
 
@@ -13,17 +13,25 @@ Kinds
 =================  =========================================================
 kind               payload
 =================  =========================================================
+campaign           opens one parallel run on a manifest: its
+                   :class:`~repro.harness.sweep.RetryPolicy`; the job,
+                   claim, requeue and failure records after it belong to
+                   that run
 job                one :class:`~repro.harness.sweep.SweepJob` spec, plus its
                    ``key`` and ``config_digest`` for manifest matching
-claim              a worker's bid to execute one job (``key``/``digest`` +
-                   ``worker`` ident); first claim line in the file wins
+claim              a worker's bid to run one attempt of a job
+                   (``key``/``digest`` + ``worker`` ident); the first claim
+                   line of an open job wins, and the owner re-appends one
+                   per retry
+requeue            the driver reopened a job whose worker died or hung
+                   (``failure_kind`` crash|timeout); the attempt counts
 result             a completed :class:`~repro.harness.sweep.JobResult`:
                    job key/digest + the versioned ``RunStats.to_dict``
                    payload (bit-identical round trip)
-failure            a quarantined job (worker-side failure record)
+failure            a quarantined job; final within its run
 simulate-request   one ``api.simulate`` call by value
 sweep-request      one ``api.sweep`` call by value (a list of job specs
-                   plus worker/shard counts and retry policy)
+                   plus the worker count and retry policy)
 =================  =========================================================
 
 Torn or foreign lines parse to ``None``, never raise — append-only files
@@ -37,7 +45,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 
 from repro.errors import ConfigError, did_you_mean
-from repro.harness.sweep import JobResult, SweepJob
+from repro.harness.sweep import JobResult, RetryPolicy, SweepJob
 from repro.simt.gpu import RunStats
 
 #: Schema tag carried by every wire record.
@@ -75,16 +83,13 @@ class SimulateRequest:
 class SweepRequest:
     """One ``api.sweep`` call, by value.
 
-    ``jobs_n`` picks the in-process worker-pool size (the ``--jobs`` knob);
-    ``shards`` > 1 instead fans the sweep over that many *worker
-    processes* claiming from a shared manifest (see
-    :func:`repro.serve.manifest.run_sharded_sweep`). ``retries`` and
+    ``jobs_n`` is the worker count (the ``--jobs`` knob: above 1 the sweep
+    runs on that many ``repro worker`` processes). ``retries`` and
     ``job_timeout`` feed the sweep's :class:`~repro.harness.sweep.RetryPolicy`.
     """
 
     jobs: tuple[SweepJob, ...]
     jobs_n: int | None = None
-    shards: int = 0
     retries: int = 3
     job_timeout: float | None = None
 
@@ -92,8 +97,6 @@ class SweepRequest:
         if not self.jobs:
             raise ConfigError("a sweep request needs at least one job")
         object.__setattr__(self, "jobs", tuple(self.jobs))
-        if self.shards < 0:
-            raise ConfigError(f"shards must be >= 0, got {self.shards}")
         if self.retries < 1:
             raise ConfigError(f"retries must be >= 1, got {self.retries}")
 
@@ -108,10 +111,24 @@ def job_to_wire(job: SweepJob) -> dict:
     return record
 
 
+def campaign_to_wire(retry: RetryPolicy) -> dict:
+    """The header of one parallel run: the policy every worker follows."""
+    return {"schema": WIRE_SCHEMA, "kind": "campaign",
+            "retry": asdict(retry)}
+
+
 def claim_to_wire(job: SweepJob, worker: str) -> dict:
     """A worker's bid for one job; ties resolve by file order (first wins)."""
     return {"schema": WIRE_SCHEMA, "kind": "claim", "key": list(job.key),
             "digest": job.config_digest(), "worker": str(worker)}
+
+
+def requeue_to_wire(job: SweepJob, worker: str, kind: str,
+                    error: str) -> dict:
+    """The driver reopens ``job``: ``worker`` died or hung holding it."""
+    return {"schema": WIRE_SCHEMA, "kind": "requeue", "key": list(job.key),
+            "digest": job.config_digest(), "worker": str(worker),
+            "failure_kind": str(kind), "error": str(error)}
 
 
 def result_to_wire(result: JobResult) -> dict:
@@ -153,7 +170,6 @@ def request_to_wire(request: SimulateRequest | SweepRequest) -> dict:
             "kind": "sweep-request",
             "jobs": [asdict(job) for job in request.jobs],
             "jobs_n": request.jobs_n,
-            "shards": request.shards,
             "retries": request.retries,
             "job_timeout": request.job_timeout,
         }
@@ -253,6 +269,12 @@ def result_from_wire(record: dict, job: SweepJob | None = None) -> JobResult:
                                                 float))
 
 
+def retry_from_wire(record: dict) -> RetryPolicy:
+    """The :class:`~repro.harness.sweep.RetryPolicy` of a campaign record."""
+    return _dataclass_from(RetryPolicy, dict(record["retry"]),
+                           what="retry policy")
+
+
 def request_from_wire(record: dict) -> SimulateRequest | SweepRequest:
     kind = record.get("kind")
     body = {key: value for key, value in record.items()
@@ -274,9 +296,9 @@ def request_from_wire(record: dict) -> SimulateRequest | SweepRequest:
 def from_wire(record: dict):
     """Decode one wire record into its domain object.
 
-    ``job``/``result``/requests come back as their dataclasses; ``claim``
-    and ``failure`` records are protocol-level and come back as plain
-    dicts (there is no richer domain object for them).
+    ``job``/``result``/requests come back as their dataclasses;
+    ``campaign``, ``claim``, ``requeue`` and ``failure`` records are
+    protocol-level and come back as plain dicts.
     """
     if not isinstance(record, dict):
         raise ConfigError(f"wire records are JSON objects, got "
@@ -294,17 +316,18 @@ def from_wire(record: dict):
         return request_from_wire(record)
     if kind == "stats":
         return RunStats.from_dict(record["stats"])
-    if kind in ("claim", "failure"):
+    if kind in ("campaign", "claim", "requeue", "failure"):
         return dict(record)
     raise ConfigError(f"unknown wire record kind {kind!r}")
 
 
-def parse_line(line: str) -> dict | None:
-    """Parse one manifest line into a wire record, or ``None``.
+def parse_line(line: str, schema: str = WIRE_SCHEMA) -> dict | None:
+    """Parse one JSONL line into a ``schema`` record, or ``None``.
 
-    Tolerates torn tail lines from interrupted writers, non-JSON noise,
-    and foreign schemas — all of those return ``None`` (callers skip
-    them).
+    The one line reader for the append-only logs (the manifest here, the
+    :mod:`repro.results` store with its own schema). Tolerates torn tail
+    lines from interrupted writers, non-JSON noise, and foreign schemas —
+    all of those return ``None`` (callers skip them).
     """
     line = line.strip()
     if not line:
@@ -315,7 +338,7 @@ def parse_line(line: str) -> dict | None:
         return None
     if not isinstance(record, dict):
         return None
-    if record.get("schema") != WIRE_SCHEMA:
+    if record.get("schema") != schema:
         return None
     return record
 

@@ -1,16 +1,18 @@
-"""The ``repro worker`` claim loop: one shard of a manifest campaign.
+"""The ``repro worker`` claim loop: one worker of a manifest campaign.
 
-A worker is deliberately dumb: point it at a shard manifest, and it
-repeatedly (a) reloads the manifest, (b) picks the first job nobody has
-claimed, (c) bids for it with an atomic ``O_APPEND`` claim record, and
+A worker is deliberately dumb: point it at a manifest, and it repeatedly
+(a) reloads the manifest, (b) picks the first open job of the current
+campaign, (c) bids for it with an atomic ``O_APPEND`` claim record, and
 (d) executes it and appends the result if — and only if — its claim
 landed first in file order (see :mod:`repro.serve.manifest` for the
 protocol). Losing a claim race costs one wasted append, nothing else.
 
-Workers are stateless and interchangeable: run one per core on one host,
-or point several hosts at the same file on a shared filesystem. A worker
-that crashes mid-job leaves its claim behind; the driver re-executes the
-job during the merge, so the campaign still completes.
+Workers are stateless and interchangeable: the sweep driver starts one
+per ``--jobs`` slot, and more can join from other hosts sharing the
+file. Every worker follows the campaign's
+:class:`~repro.harness.sweep.RetryPolicy`, read from the manifest. A
+worker that crashes mid-job leaves its claim behind; the driver books
+the lost attempt and reopens the job for a replacement worker.
 """
 
 from __future__ import annotations
@@ -22,14 +24,9 @@ import time
 from typing import Callable
 
 from repro.errors import ConfigError
+from repro.harness.sweep import JobResult, run_job
 from repro.results.store import maybe_record
-from repro.serve.manifest import ShardManifest
-from repro.harness.sweep import (
-    FailedJob,
-    JobResult,
-    RetryPolicy,
-    execute_job,
-)
+from repro.serve.manifest import ManifestState, ShardManifest
 
 
 def worker_ident(name: str | None = None) -> str:
@@ -37,8 +34,8 @@ def worker_ident(name: str | None = None) -> str:
 
     Built from hostname, pid, and a nanosecond timestamp — no RNG (the
     repo-wide RNG discipline bans ambient randomness in ``src/repro``),
-    and no coordination needed. An explicit ``name`` (e.g. ``shard0``
-    from the sharded-sweep driver) is used verbatim so manifests stay
+    and no coordination needed. An explicit ``name`` (the sweep driver
+    names the workers it starts) is used verbatim so manifests stay
     readable.
     """
     if name:
@@ -48,15 +45,14 @@ def worker_ident(name: str | None = None) -> str:
 
 def run_worker(manifest_path, worker: str | None = None,
                poll_seconds: float = 0.5, once: bool = False,
-               retry: RetryPolicy | None = None,
                progress: Callable[[str], None] | None = None) -> int:
     """Claim and execute manifest jobs until none remain open.
 
-    With ``once=True`` (how the sharded-sweep driver runs shards) the
-    worker exits as soon as a full pass over the manifest finds no open
-    job. Without it the worker keeps polling every ``poll_seconds`` —
-    the long-running "join this campaign from another terminal/host"
-    mode; stop it with Ctrl-C once the driver has merged.
+    With ``once=True`` (how the sweep driver runs its workers) the worker
+    exits as soon as a full pass over the manifest finds no open job.
+    Without it the worker keeps polling every ``poll_seconds`` — the
+    long-running "join this campaign from another terminal/host" mode;
+    stop it with Ctrl-C once the driver has merged.
 
     Returns the number of jobs this worker executed (successes and
     permanent failures both count — each produced a manifest record).
@@ -65,13 +61,11 @@ def run_worker(manifest_path, worker: str | None = None,
         # A missing manifest must not look like a successfully drained
         # campaign (a typo'd --manifest would otherwise exit 0 having
         # done nothing). The driver creates the file before any worker
-        # is spawned, so at claim time it always exists.
+        # is started, so at claim time it always exists.
         raise ConfigError(f"shard manifest not found: {manifest_path} "
-                          "(create it with ShardManifest.create or "
-                          "run_sharded_sweep first)")
+                          "(run_sweep with jobs_n > 1 creates it)")
     manifest = ShardManifest(manifest_path)
     ident = worker_ident(worker)
-    retry = RetryPolicy() if retry is None else retry
     emit = progress if progress is not None else (lambda line: None)
     executed = 0
     while True:
@@ -79,22 +73,25 @@ def run_worker(manifest_path, worker: str | None = None,
         candidates = [job for job in state.jobs if state.is_open(job)]
         if not candidates:
             # Nothing open: claimed-but-unfinished jobs belong to other
-            # workers (or to the driver's merge pass if those workers
-            # died); this worker must not steal them.
+            # workers (the driver reopens them if those workers die);
+            # this worker must not steal them.
             if once or state.settled == len(state.jobs):
                 return executed
             time.sleep(poll_seconds)
             continue
         job = candidates[0]
+        used = state.attempts.get(ManifestState.ident(job), 0)
         if not manifest.claim(job, ident):
             continue  # lost the race; re-scan for the next open job
         emit(f"[{ident}] claimed {job.describe()}")
-        outcome = _run_claimed(job, retry, emit, ident)
+        outcome = run_job(job, state.retry, emit, first_attempt=used + 1,
+                          on_retry=lambda: manifest.claim(job, ident))
         if isinstance(outcome, JobResult):
-            manifest.record_result(outcome)
-            # Opt-in results warehouse: one store line per job this worker
-            # actually executed (no-op without REPRO_RESULTS_DIR).
+            # Opt-in results warehouse first (no-op without
+            # REPRO_RESULTS_DIR): once the result line lands the driver
+            # may stop this worker.
             maybe_record(outcome, source="worker")
+            manifest.record_result(outcome)
             emit(f"[{ident}] {job.describe()}  {outcome.stats.cycles} "
                  f"cycles  {outcome.wall_seconds:.2f}s")
         else:
@@ -102,27 +99,6 @@ def run_worker(manifest_path, worker: str | None = None,
                                     attempts=outcome.attempts)
             emit(f"[{ident}] {outcome.describe()}")
         executed += 1
-
-
-def _run_claimed(job, retry: RetryPolicy,
-                 emit: Callable[[str], None],
-                 ident: str) -> JobResult | FailedJob:
-    """Execute one claimed job under the worker's retry budget."""
-    error, kind = "", "exception"
-    for attempt in range(1, retry.max_attempts + 1):
-        try:
-            return execute_job(job)
-        except Exception as exc:
-            kind = "timeout" if isinstance(exc, TimeoutError) else "exception"
-            error = f"{type(exc).__name__}: {exc}"
-            if attempt < retry.max_attempts:
-                emit(f"[{ident}] retry {job.describe()}  attempt "
-                     f"{attempt + 1}/{retry.max_attempts} after {error}")
-                delay = retry.backoff_for(attempt)
-                if delay:
-                    time.sleep(delay)
-    return FailedJob(job=job, attempts=retry.max_attempts, kind=kind,
-                     error=error)
 
 
 __all__ = ["run_worker", "worker_ident"]

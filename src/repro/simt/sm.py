@@ -121,7 +121,6 @@ class SM:
         self._block_live: dict[int, int] = {}
         self._block_of_warp: dict[int, int] = {}
         self._barriers: dict[int, list[Warp]] = {}
-        self.last_progress_cycle = 0
         self.thread_commits: dict[int, int] = {}
 
     # -- admission -----------------------------------------------------------
@@ -295,7 +294,6 @@ class SM:
                 probe.on_idle(cycle, self._idle_cause())
             return False
         self._issue(warp, cycle)
-        self.last_progress_cycle = cycle
         return True
 
     # -- event-driven fast-forward --------------------------------------------

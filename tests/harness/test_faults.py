@@ -2,7 +2,7 @@
 
 Faults are injected through :class:`~repro.harness.sweep.FaultInjector`
 (``REPRO_FAULT_SPEC``), whose firing counts live in exclusive token files
-so they hold across worker processes and pool respawns — no flaky
+so they hold across worker processes and their replacements — no flaky
 sleeps or signal races. Each test asserts both the recovery behaviour
 *and* that the recovered sweep is bit-identical to a clean serial run.
 """
@@ -102,6 +102,8 @@ class TestFaultSpec:
 
 
 class TestPoolRecovery:
+    """``jobs_n > 1``: ``repro worker`` processes on one manifest."""
+
     def test_crash_retries_to_identical_results(self, reference, inject):
         inject("crash@conference:spawn")
         swept = run_sweep(fault_jobs(), jobs_n=2,
@@ -144,6 +146,20 @@ class TestPoolRecovery:
         assert len(info.value.failures) == 1
         assert info.value.failures[0].kind == "exception"
         assert len(info.value.results) == 3
+
+    def test_worker_failure_is_final(self, reference, inject):
+        """A worker's failure record settles the job: the driver must not
+        run it again (a fourth execution would find the fault spent)."""
+        inject("exception@conference:spawn*3")
+        swept = run_sweep(fault_jobs(), jobs_n=2, strict=False,
+                          retry=RetryPolicy(max_attempts=3,
+                                            backoff_seconds=0))
+        assert len(swept.failures) == 1
+        failure = swept.failures[0]
+        assert failure.kind == "exception"
+        assert failure.attempts == 3
+        assert failure.job.describe() == "conference:spawn"
+        assert len(swept) == 3
 
 
 class TestSerialRecovery:

@@ -1,9 +1,9 @@
 """Sweep engine determinism: ``--jobs N`` == ``--jobs 1`` == direct.
 
-Two scenes x three machine modes are swept serially, through a 4-worker
-process pool, and via direct :func:`run_mode` calls; all three paths must
-produce bit-identical :func:`run_stats_digest` fingerprints, pinned
-against a golden JSON snapshot (regenerate with ``pytest
+Two scenes x three machine modes are swept serially, on four ``repro
+worker`` processes, and via direct :func:`run_mode` calls; all three
+paths must produce bit-identical :func:`run_stats_digest` fingerprints,
+pinned against a golden JSON snapshot (regenerate with ``pytest
 --update-golden``).
 """
 
@@ -23,7 +23,6 @@ from repro.harness import sweep as sweep_module
 from repro.harness.sweep import (
     JobResult,
     RetryPolicy,
-    SweepCheckpoint,
     SweepJob,
     SweepResults,
     default_checkpoint_path,
@@ -32,6 +31,7 @@ from repro.harness.sweep import (
     run_sweep,
     warm_workloads,
 )
+from repro.serve.manifest import ShardManifest
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "sweep_digests.json"
 
@@ -174,12 +174,12 @@ class TestCheckpointResume:
         job = SweepJob(scene="conference", mode="pdom_block", preset="tiny",
                        max_cycles=5_000)
         run_sweep([job], jobs_n=1, checkpoint=manifest)
-        checkpoint = SweepCheckpoint(manifest)
-        assert checkpoint.load() == 1
-        assert checkpoint.lookup(job) is not None
+        state = ShardManifest(manifest).load()
+        assert len(state.history) == 1
+        assert state.cached_result(job) is not None
         changed = SweepJob(scene="conference", mode="pdom_block",
                            preset="tiny", max_cycles=6_000)
-        assert checkpoint.lookup(changed) is None
+        assert state.cached_result(changed) is None
 
     def test_corrupt_lines_tolerated(self, tmp_path):
         manifest = tmp_path / "sweep.jsonl"
@@ -190,9 +190,31 @@ class TestCheckpointResume:
             handle.write("{\"torn\": \n")
             handle.write("not json at all\n")
             handle.write(json.dumps({"schema": "other/1"}) + "\n")
-        checkpoint = SweepCheckpoint(manifest)
-        assert checkpoint.load() == 1
-        assert checkpoint.lookup(job) is not None
+        state = ShardManifest(manifest).load()
+        assert len(state.history) == 1
+        assert state.cached_result(job) is not None
+
+    def test_serial_checkpoint_appends_results_and_failures(
+            self, tmp_path, monkeypatch):
+        """One line per settled job, appended — never a rewrite — and a
+        serial failure does not stop a later resume from running it."""
+        manifest = tmp_path / "sweep.jsonl"
+        jobs = [SweepJob(scene="conference", mode=mode, preset="tiny",
+                         max_cycles=5_000) for mode in ("pdom_block", "spawn")]
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "exception@conference:spawn*2")
+        monkeypatch.setenv("REPRO_FAULT_DIR", str(tmp_path / "faults"))
+        partial = run_sweep(jobs, jobs_n=1, strict=False, checkpoint=manifest,
+                            retry=RetryPolicy(max_attempts=2,
+                                              backoff_seconds=0.0))
+        kinds = [json.loads(line)["kind"]
+                 for line in manifest.read_text().splitlines()]
+        assert kinds == ["result", "failure"]
+        assert len(partial.failures) == 1
+        before = manifest.read_text()
+        resumed = run_sweep(jobs, jobs_n=1, checkpoint=manifest, resume=True)
+        assert resumed.ok
+        assert manifest.read_text().startswith(before)
+        assert len(manifest.read_text().splitlines()) == 3
 
     def test_crash_then_resume_matches_golden(self, serial_results,
                                               tmp_path, monkeypatch):

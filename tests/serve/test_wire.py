@@ -2,8 +2,8 @@
 
 The hypothesis suites generate arbitrary job specs and requests, encode
 them to canonical JSONL, and assert a bit-exact round trip through
-``parse_line``/``from_wire`` — the same path the shard manifest, the
-checkpoint files, and the HTTP API all use.
+``parse_line``/``from_wire`` — the same path the sweep manifest and the
+HTTP API use.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
-from repro.harness.sweep import SweepCheckpoint, SweepJob
+from repro.harness.sweep import RetryPolicy, SweepJob
 from repro.serve import wire
+from repro.serve.manifest import ShardManifest
 from repro.serve.wire import SimulateRequest, SweepRequest
 
 SCENES = ("conference", "fairyforest", "atrium")
@@ -49,7 +50,6 @@ sweep_requests_st = st.builds(
     jobs=st.lists(jobs_st, min_size=1, max_size=4, unique_by=lambda j: j.key)
         .map(tuple),
     jobs_n=st.none() | st.integers(1, 8),
-    shards=st.integers(0, 4),
     retries=st.integers(1, 5),
     job_timeout=st.none() | st.floats(0.1, 600.0, allow_nan=False),
 )
@@ -133,6 +133,24 @@ class TestParseLine:
         assert wire.parse_line('["a", "list"]') is None
         assert wire.parse_line(json.dumps({"schema": "other/9"})) is None
 
+    def test_schema_is_an_argument(self):
+        line = json.dumps({"schema": "other/9", "kind": "run"})
+        assert wire.parse_line(line, "other/9") == {"schema": "other/9",
+                                                    "kind": "run"}
+        assert wire.parse_line(wire.dump_line(
+            wire.campaign_to_wire(RetryPolicy())), "other/9") is None
+
+    def test_campaign_and_requeue_records_round_trip(self):
+        retry = RetryPolicy(max_attempts=5, backoff_seconds=0.5,
+                            timeout_seconds=7.0)
+        record = wire.parse_line(wire.dump_line(wire.campaign_to_wire(retry)))
+        assert wire.retry_from_wire(record) == retry
+        job = SweepJob(scene="conference", mode="spawn", preset="tiny")
+        requeue = wire.requeue_to_wire(job, "w1", "crash", "exit 66")
+        assert wire.from_wire(wire.parse_line(wire.dump_line(requeue))) \
+            == requeue
+        assert wire.record_key(requeue) == (job.key, job.config_digest())
+
     def test_from_wire_rejects_foreign_schema(self):
         with pytest.raises(ConfigError, match="unsupported wire schema"):
             wire.from_wire({"schema": "other/9", "kind": "job"})
@@ -166,6 +184,14 @@ class TestRemovedKnobs:
         with pytest.raises(ConfigError, match=f"unknown job field '{knob}'"):
             wire.from_wire(record)
 
+    def test_sweep_request_naming_shards(self):
+        record = wire.request_to_wire(SweepRequest(jobs=(
+            SweepJob(scene="conference", mode="spawn", preset="tiny"),)))
+        record["shards"] = 2
+        with pytest.raises(ConfigError,
+                           match="unknown sweep request field 'shards'"):
+            wire.from_wire(record)
+
     @pytest.mark.parametrize("knob,value", REMOVED_KNOBS)
     def test_stats_record_naming_a_removed_knob(self, tiny_stats_doc, knob,
                                                 value):
@@ -189,9 +215,9 @@ class TestRemovedKnobs:
                   "stats": stats}
         path = tmp_path / "checkpoint.jsonl"
         path.write_text(json.dumps(record) + "\n")
-        checkpoint = SweepCheckpoint(path)
-        assert checkpoint.load() == 1
-        assert checkpoint.lookup(job) is None
+        state = ShardManifest(path).load()
+        assert len(state.history) == 1
+        assert state.cached_result(job) is None
 
 
 class TestMalformedResultDiagnostics:

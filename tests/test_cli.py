@@ -60,15 +60,16 @@ class TestParser:
             build_parser().parse_args(["worker"])
 
     def test_worker_command_round_trips_through_the_parser(self):
-        """The argv the sharded-sweep driver spawns must stay parseable."""
+        """The argv the sweep driver starts workers with must stay
+        parseable; the retry policy travels in the manifest, not argv."""
         from repro.serve.manifest import worker_command
 
-        argv = worker_command("m.jsonl", "shard0", retries=2)[3:]
+        argv = worker_command("m.jsonl", "w0")[3:]
         args = build_parser().parse_args(argv)
         assert args.manifest == "m.jsonl"
-        assert args.id == "shard0"
+        assert args.id == "w0"
         assert args.once is True
-        assert args.retries == 2
+        assert not hasattr(args, "retries")
 
     def test_submit_defaults(self):
         args = build_parser().parse_args(["submit"])
@@ -188,6 +189,37 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "unknown model 'turbo'" in err
         assert "pdom_block" in err and "spawn" in err
+
+    def test_fuzz_writes_shrunk_failing_cases(self, tmp_path, monkeypatch,
+                                              capsys):
+        """A divergence is shrunk before it is written: the predicate
+        re-runs the oracle on each candidate, so the written case is
+        smaller than the generated one."""
+        import repro.fuzz as fuzz
+        from repro.fuzz import FuzzReport, load_case, make_case
+        from repro.fuzz.oracle import CaseResult
+
+        case = make_case(3)
+        size = len(case.program)
+        assert size > 2
+
+        def diverging(candidate, models=None):
+            # Any program of two or more instructions "diverges".
+            failures = ["spawn/base: synthetic divergence"] \
+                if len(candidate.program) >= 2 else []
+            return CaseResult(candidate, failures=failures)
+
+        def campaign(num_cases, seed, **kwargs):
+            return FuzzReport(cases_run=1, failures=[diverging(case)])
+
+        monkeypatch.setattr(fuzz, "run_fuzz", campaign)
+        monkeypatch.setattr(fuzz, "run_case", diverging)
+        out = tmp_path / "failures"
+        assert main(["fuzz", "--cases", "1", "--quiet",
+                     "--out", str(out)]) == 1
+        [written] = out.glob("case-*.json")
+        assert len(load_case(str(written)).program) < size
+        assert f"({size} instructions)" not in capsys.readouterr().out
 
     def test_fuzz_campaign_clean(self, capsys):
         code = main(["fuzz", "--cases", "2", "--quiet"])
