@@ -3,13 +3,13 @@
 SIMT hardware reconverges diverged warps at the *immediate post-dominator*
 of each branch (Fung et al., MICRO 2007; paper §II). Real toolchains compute
 these points in the compiler and encode them in the binary; we compute them
-offline from the assembled program with networkx and hand the table to the
-simulator's reconvergence stack.
+offline from the assembled program (the iterative dominator algorithm of
+Cooper, Harvey and Kennedy, "A Simple, Fast Dominance Algorithm", 2001, run
+on the reversed CFG) and hand the table to the simulator's reconvergence
+stack.
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from repro.errors import ProgramError
 from repro.isa.program import Program
@@ -36,22 +36,62 @@ def basic_block_leaders(program: Program) -> list[int]:
     return sorted(pc for pc in leaders if 0 <= pc < len(program))
 
 
-def build_cfg(program: Program) -> nx.DiGraph:
+class CFG:
+    """A directed graph kept as successor lists, in insertion order.
+
+    ``succs`` maps every node to its successors; ``last`` maps each
+    block-leader node to the PC of its block's final instruction.
+    """
+
+    def __init__(self) -> None:
+        self.succs: dict[object, list] = {}
+        self.last: dict[int, int] = {}
+
+    @property
+    def nodes(self):
+        return self.succs.keys()
+
+    def add_node(self, node) -> None:
+        self.succs.setdefault(node, [])
+
+    def add_edge(self, src, dst) -> None:
+        """Add ``src -> dst`` (and either node if it is new)."""
+        self.add_node(src)
+        self.add_node(dst)
+        if dst not in self.succs[src]:
+            self.succs[src].append(dst)
+
+    def has_edge(self, src, dst) -> bool:
+        return dst in self.succs.get(src, ())
+
+    def reverse(self) -> "CFG":
+        """The same nodes with every edge flipped."""
+        reversed_graph = CFG()
+        for node in self.succs:
+            reversed_graph.add_node(node)
+        for src, dsts in self.succs.items():
+            for dst in dsts:
+                reversed_graph.succs[dst].append(src)
+        return reversed_graph
+
+
+def build_cfg(program: Program) -> CFG:
     """Build the CFG over basic blocks.
 
-    Nodes are block-leader PCs plus the virtual :data:`EXIT` node. Each node
-    carries ``last`` (PC of the block's final instruction).
+    Nodes are block-leader PCs plus the virtual :data:`EXIT` node;
+    ``graph.last[leader]`` is the PC of the block's final instruction.
     """
     if program[0] is None:  # pragma: no cover - Program guarantees non-empty
         raise ProgramError("empty program")
     leaders = basic_block_leaders(program)
     leader_set = set(leaders)
-    graph = nx.DiGraph()
+    graph = CFG()
     graph.add_node(EXIT)
     for index, leader in enumerate(leaders):
         end = leaders[index + 1] if index + 1 < len(leaders) else len(program)
         last_pc = end - 1
-        graph.add_node(leader, last=last_pc)
+        graph.add_node(leader)
+        graph.last[leader] = last_pc
         last = program[last_pc]
         if last.op == "bra":
             graph.add_edge(leader, last.target)
@@ -71,6 +111,63 @@ def build_cfg(program: Program) -> nx.DiGraph:
     return graph
 
 
+def _reverse_postorder(graph: CFG, root) -> list:
+    """Nodes reachable from ``root``, in reverse postorder (iterative DFS)."""
+    order = []
+    seen = {root}
+    stack = [(root, iter(graph.succs[root]))]
+    while stack:
+        node, children = stack[-1]
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                stack.append((child, iter(graph.succs[child])))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    order.reverse()
+    return order
+
+
+def immediate_dominators(graph: CFG, root) -> dict:
+    """Immediate dominator of every node reachable from ``root``.
+
+    The iterative algorithm of Cooper, Harvey and Kennedy: visit the nodes
+    in reverse postorder, set each one's dominator to the meet of its
+    processed predecessors (walking both up the tree to their common
+    ancestor), and repeat until nothing changes. ``root`` maps to itself.
+    """
+    order = _reverse_postorder(graph, root)
+    rank = {node: index for index, node in enumerate(order)}
+    preds: dict[object, list] = {node: [] for node in order}
+    for node in order:
+        for succ in graph.succs[node]:
+            preds[succ].append(node)
+    idom = {root: root}
+
+    def meet(a, b):
+        while a != b:
+            while rank[a] > rank[b]:
+                a = idom[a]
+            while rank[b] > rank[a]:
+                b = idom[b]
+        return a
+
+    changed = True
+    while changed:
+        changed = False
+        for node in order[1:]:
+            new = None
+            for pred in preds[node]:
+                if pred in idom:
+                    new = pred if new is None else meet(pred, new)
+            if idom.get(node) != new:
+                idom[node] = new
+                changed = True
+    return idom
+
+
 def immediate_post_dominators(program: Program) -> dict[int, object]:
     """Map each block leader to its immediate post-dominator leader.
 
@@ -78,16 +175,15 @@ def immediate_post_dominators(program: Program) -> dict[int, object]:
     kernel entry are still analyzed (they are part of the PC space).
     """
     graph = build_cfg(program)
-    reversed_graph = graph.reverse(copy=False)
+    reversed_graph = graph.reverse()
     # Blocks that cannot reach EXIT (e.g. infinite loops) would be absent
-    # from the dominator tree; connect them so analysis is total.
-    reachable = set(nx.descendants(reversed_graph, EXIT)) | {EXIT}
+    # from the post-dominator tree; give each one its own EXIT edge so the
+    # analysis is total.
+    reachable = set(_reverse_postorder(reversed_graph, EXIT))
     for node in graph.nodes:
         if node not in reachable:
-            reversed_graph = nx.DiGraph(reversed_graph)
             reversed_graph.add_edge(EXIT, node)
-            reachable.add(node)
-    idom = nx.immediate_dominators(reversed_graph, EXIT)
+    idom = immediate_dominators(reversed_graph, EXIT)
     return {node: idom[node] for node in graph.nodes if node != EXIT}
 
 
@@ -101,8 +197,8 @@ def reconvergence_table(program: Program) -> dict[int, int]:
     ipdom = immediate_post_dominators(program)
     graph = build_cfg(program)
     block_of_pc: dict[int, int] = {}
-    for leader in (node for node in graph.nodes if node != EXIT):
-        for pc in range(leader, graph.nodes[leader]["last"] + 1):
+    for leader, last_pc in graph.last.items():
+        for pc in range(leader, last_pc + 1):
             block_of_pc[pc] = leader
     table: dict[int, int] = {}
     for inst in program.instructions:

@@ -19,18 +19,40 @@ The package turns the single-process harness into a campaign manager:
   API, used by ``repro submit``.
 """
 
-from repro.serve.client import ServeClient
-from repro.serve.manifest import ShardManifest
-from repro.serve.server import JobManager, ReproServer, serve_forever
-from repro.serve.wire import (
-    WIRE_SCHEMA,
-    SimulateRequest,
-    SweepRequest,
-    from_wire,
-    request_digest,
-    to_wire,
-)
-from repro.serve.worker import run_worker, worker_ident
+import importlib
+
+#: Package exports, resolved lazily (PEP 562) from the submodule that
+#: defines each, so importing one submodule (a ``repro worker`` imports
+#: ``wire`` and ``manifest``) does not load the HTTP daemon and client.
+_EXPORTS = {
+    "JobManager": "server",
+    "ReproServer": "server",
+    "ServeClient": "client",
+    "ShardManifest": "manifest",
+    "SimulateRequest": "wire",
+    "SweepRequest": "wire",
+    "WIRE_SCHEMA": "wire",
+    "from_wire": "wire",
+    "request_digest": "wire",
+    "run_worker": "worker",
+    "serve_forever": "server",
+    "to_wire": "wire",
+    "worker_ident": "worker",
+}
+
+
+def __getattr__(name: str):
+    # Any other name raises, so ``from repro.serve import wire`` falls
+    # back to importing the submodule.
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(list(globals()) + list(_EXPORTS))
+
 
 __all__ = [
     "JobManager",

@@ -11,10 +11,19 @@ any lane of a formed group (Fung's crossbar design), and regrouping is
 free. It therefore upper-bounds DWF — useful as the ablation DESIGN.md
 calls for (how much of the µ-kernel win could regrouping alone recover?).
 
-Implementation note: execution reuses the lockstep executor by gathering
-the group's register columns into a transient :class:`Warp`, executing one
-instruction, then scattering results back and reading each thread's next
-PC off the transient SIMT stack.
+Implementation note: the core keeps one persistent :class:`Warp` that is
+``num_threads`` lanes wide, and its ``regs`` and ``preds`` *are* the DWF
+register file (thread ``t`` lives in lane ``t``). Each issue installs a
+one-entry SIMT stack at the formed group's PC, with the group as its mask,
+and runs the instruction's unchanged compiled plan on that lane view. The
+plans' masked paths touch only the group's lanes, so nothing is copied and
+no warp is built per instruction. Each thread's next PC comes back off the
+stack: from the single entry when the group stayed together, from every
+entry's mask when a branch split it or an ``exit`` retired part of it.
+
+One visible consequence: ``SREG.ntid`` reads ``num_threads``, the width of
+the lane view, rather than the size of the issue group. No kernel or fuzzer
+program reads it.
 """
 
 from __future__ import annotations
@@ -24,12 +33,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import GPUConfig
-from repro.errors import ConfigError, SchedulingError
+from repro.errors import ConfigError, ExecutionError, SchedulingError
+from repro.isa.cfg import RECONV_AT_EXIT
 from repro.simt.banked import BankedMemory
-from repro.simt.executor import ALU, CONTROL, OFFCHIP, ONCHIP, MachineState, execute
+from repro.simt.executor import ALU, CONTROL, OFFCHIP, ONCHIP, MachineState
 from repro.simt.memory import DRAM, GlobalMemory
+from repro.simt.stack import StackEntry
 from repro.simt.stats import DivergenceSampler, SMStats
-from repro.simt.warp import NUM_PREDICATES, Warp
+from repro.simt.warp import READY, Warp
+
+#: ``ready_at`` of a retired thread: past every cycle, so the ready test
+#: alone keeps it out of the vote and out of ``next_event_time``.
+_RETIRED_AT = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -77,13 +92,12 @@ class DWFCore:
         self.config = config
         self.machine = machine
         self.dram = dram
-        self.num_regs = num_regs
-        self.regs = np.zeros((num_regs, num_threads))
-        self.preds = np.zeros((NUM_PREDICATES, num_threads), dtype=bool)
+        self.warp = Warp(warp_id=0, warp_size=num_threads, num_regs=num_regs,
+                         tids=np.arange(num_threads, dtype=np.int64),
+                         active_at_launch=np.ones(num_threads, dtype=bool))
         self.pcs = np.full(num_threads, entry_pc, dtype=np.int64)
         self.ready_at = np.zeros(num_threads, dtype=np.int64)
-        self.alive = np.ones(num_threads, dtype=bool)
-        self.tids = np.arange(num_threads, dtype=np.int64)
+        self.live = num_threads
         self.stats = SMStats()
         self.stats.threads_launched = num_threads
         self.divergence = DivergenceSampler(warp_size=config.warp_size,
@@ -91,41 +105,42 @@ class DWFCore:
 
     @property
     def done(self) -> bool:
-        return not bool(self.alive.any())
+        return self.live == 0
 
     def next_event_time(self, now: int) -> int | None:
         """Earliest cycle >= ``now`` a thread becomes ready (fast-forward).
 
-        Every alive thread's wake-up is its ``ready_at`` (set at issue
+        Every live thread's wake-up is its ``ready_at`` (set at issue
         time from ALU/memory latency); DWF has no stalls, barriers, or
         admission queues, so nothing else can change core state.
         """
-        if self.done:
+        if self.live == 0:
             return None
-        earliest = int(self.ready_at[self.alive].min())
-        return max(earliest, now)
+        return max(int(self.ready_at.min()), now)
 
     def credit_skipped(self, start: int, stop: int) -> None:
         """Credit the fast-forwarded span [start, stop) as idle cycles."""
-        if stop <= start or self.done:
+        if stop <= start or self.live == 0:
             return
         self.stats.cycles += stop - start
         self.stats.idle_cycles += stop - start
         self.divergence.record_idle_span(start, stop)
 
     def _select_group(self, cycle: int) -> np.ndarray | None:
-        """Majority-PC policy: the ready PC with the most threads wins."""
-        ready = self.alive & (self.ready_at <= cycle)
-        if not ready.any():
+        """Majority-PC policy: the ready PC with the most threads wins.
+
+        Ties go to the lowest PC, and a group holds at most ``warp_size``
+        threads, the lowest thread ids first.
+        """
+        ready = (self.ready_at <= cycle).nonzero()[0]
+        if not ready.size:
             return None
         ready_pcs = self.pcs[ready]
-        values, counts = np.unique(ready_pcs, return_counts=True)
-        best_pc = values[int(np.argmax(counts))]
-        members = np.nonzero(ready & (self.pcs == best_pc))[0]
-        return members[:self.config.warp_size]
+        best_pc = np.bincount(ready_pcs).argmax()
+        return ready[ready_pcs == best_pc][:self.config.warp_size]
 
     def step(self, cycle: int) -> bool:
-        if self.done:
+        if self.live == 0:
             return False
         self.stats.cycles += 1
         group = self._select_group(cycle)
@@ -137,25 +152,28 @@ class DWFCore:
         return True
 
     def _issue(self, group: np.ndarray, cycle: int) -> None:
+        warp = self.warp
+        pcs = self.pcs
         size = group.size
-        warp = Warp.launch(0, size, self.num_regs,
-                           int(self.pcs[group[0]]), self.tids[group],
-                           np.ones(size, dtype=bool))
-        warp.regs[:, :] = self.regs[:, group]
-        warp.preds[:, :] = self.preds[:, group]
-        result = execute(warp, self.machine)
-        self.regs[:, group] = warp.regs
-        self.preds[:, group] = warp.preds
-        # Scatter next PCs: every surviving lane sits in some stack entry.
-        survivors = np.zeros(size, dtype=bool)
-        for entry in warp.stack.entries:
-            lanes = np.nonzero(entry.mask)[0]
-            self.pcs[group[lanes]] = entry.pc
-            survivors[lanes] = True
-        retired = group[~survivors]
-        if retired.size:
-            self.alive[retired] = False
-            self.stats.threads_exited += int(retired.size)
+        pc = int(pcs[group[0]])
+        mask = np.zeros(warp.warp_size, dtype=bool)
+        mask[group] = True
+        stack = warp.stack
+        top = StackEntry(pc, mask, RECONV_AT_EXIT, size)
+        stack.entries = [top]
+        stack.pushes = 1
+        stack.pops = 0
+        warp.status = READY  # an exit that retired a whole group FINISHED it
+        # DWF reads none of ``execute``'s per-warp bookkeeping (issue count,
+        # per-lane commit batching), so it calls the PC's plan directly.
+        machine = self.machine
+        plans = machine.plans
+        if pc >= len(plans):
+            raise ExecutionError("PC outside program", pc=pc)
+        plan = plans[pc]
+        if plan is None:
+            plan = machine.plan_for(pc)
+        result = plan(warp, top)
         config = self.config
         if result.kind in (ALU, CONTROL):
             ready = cycle + config.alu_latency
@@ -169,9 +187,25 @@ class DWFCore:
                                           result.is_store)
                          + result.conflict_penalty)
         else:
-            raise SchedulingError("DWF does not support spawn instructions; "
-                                  "run the traditional kernel")
+            raise SchedulingError(
+                f"DWF does not support {machine.program[pc].op} "
+                f"instructions (pc={pc}); run the traditional kernel")
         self.ready_at[group] = ready
+        entries = stack.entries
+        if len(entries) == 1 and entries[0].count == size:
+            pcs[group] = entries[0].pc
+        else:
+            # A branch split the group or an exit retired part of it:
+            # every surviving thread sits in exactly one stack entry.
+            survivors = np.zeros(warp.warp_size, dtype=bool)
+            for entry in entries:
+                pcs[entry.mask] = entry.pc
+                survivors |= entry.mask
+            retired = group[~survivors[group]]
+            if retired.size:
+                self.ready_at[retired] = _RETIRED_AT
+                self.live -= int(retired.size)
+                self.stats.threads_exited += int(retired.size)
         self.stats.issued_instructions += 1
         self.stats.committed_thread_instructions += result.active
         self.stats.rays_completed += result.completions

@@ -13,7 +13,8 @@ guard predicate, and reconvergence metadata. Plans are cached on the
 :class:`MachineState` (indexed by PC) so the per-issue cost is just the
 closure call plus the numpy work itself. Immediate operands are served
 from a process-wide read-only array cache keyed by (type, value, width) —
-warp widths vary because DWF builds transient issue groups.
+warp widths vary between machines: the SM's warps are ``warp_size`` lanes
+wide, DWF's single lane view (:mod:`repro.simt.dwf`) one lane per thread.
 """
 
 from __future__ import annotations
@@ -218,7 +219,8 @@ def _imm_array(value, size: int) -> np.ndarray:
 
 def _replicated_fetch(value):
     """Per-plan inline cache of a replicated constant; keyed only on the
-    warp width (constant for a GPU run, variable for DWF issue groups)."""
+    warp width (constant for a GPU run and for a DWF run, whose one warp
+    has a lane per thread)."""
     last_size = -1
     last_arr = None
 

@@ -6,9 +6,10 @@ after that the warp slot is recycled and the columns are gone. Rather than
 teach every execution model to export registers, the single shared exit
 plan in :mod:`repro.simt.executor` reports retiring lanes to an optional
 recorder attached to the :class:`~repro.simt.executor.MachineState`. Every
-model that issues through ``execute``/compiled plans (pdom_block,
-pdom_warp, spawn, and DWF's transient issue groups) therefore feeds the
-same recorder with zero per-model code.
+model that issues through the compiled plans (pdom_block, pdom_warp, spawn,
+and DWF, whose issue groups run on lanes of one core-wide warp) therefore
+feeds the same recorder with zero per-model code. Under DWF a "finished
+warp" is an issue group whose threads all exited together.
 
 The hook is ``None`` by default and every call site is guarded by
 ``is not None``, preserving the zero-overhead-when-off contract of

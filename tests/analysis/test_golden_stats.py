@@ -3,9 +3,11 @@
 Two tiny scenes are simulated (traditional PDOM and µ-kernel spawn) and
 the full :class:`DivergenceSampler` output plus the headline SM counters
 are compared **exactly** against checked-in JSON snapshots under
-``tests/analysis/golden/``. Any change to scheduling, reconvergence,
-spawn formation, memory timing, or the fast-forward clock that perturbs a
-single counter shows up as a diff here.
+``tests/analysis/golden/``. The idealized DWF core (:mod:`repro.simt.dwf`),
+which has its own cycle loop, is pinned the same way on three workloads,
+together with a digest of its final global memory. Any change to
+scheduling, reconvergence, spawn formation, memory timing, or the
+fast-forward clock that perturbs a single counter shows up as a diff here.
 
 To bless intentional changes, regenerate the snapshots with::
 
@@ -18,13 +20,19 @@ artifact for a stats-affecting change.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 
 import pytest
 
 from repro.harness.presets import get_preset
-from repro.harness.runner import prepare_workload, run_mode
+from repro.harness.runner import (
+    config_for_mode,
+    image_for_workload,
+    prepare_workload,
+    run_mode,
+)
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -38,11 +46,34 @@ CASES = (
 )
 
 
+def divergence_snapshot(divergence) -> dict:
+    return {
+        "window": divergence.window,
+        "totals": divergence.totals().tolist(),
+        "issues": [list(row) for row in divergence.issues],
+        "idle": list(divergence.idle),
+        "stall": list(divergence.stall),
+    }
+
+
+def check_golden(path: pathlib.Path, snapshot: dict,
+                 update_golden: bool) -> None:
+    """Compare ``snapshot`` with the golden file (or rewrite it)."""
+    if update_golden:
+        GOLDEN_DIR.mkdir(exist_ok=True)
+        path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
+        return
+    assert path.exists(), (
+        f"missing golden snapshot {path.name}; generate it with "
+        "pytest --update-golden")
+    golden = json.loads(path.read_text())
+    assert snapshot == golden
+
+
 def golden_snapshot(scene: str, mode: str) -> dict:
     workload = prepare_workload(scene, get_preset("tiny"))
     result = run_mode(mode, workload, max_cycles=MAX_CYCLES)
     stats = result.stats
-    divergence = stats.divergence
     sm = stats.sm_stats
     return {
         "scene": scene,
@@ -59,27 +90,69 @@ def golden_snapshot(scene: str, mode: str) -> dict:
         "partial_warps_flushed": sm.partial_warps_flushed,
         "bank_conflict_cycles": sm.bank_conflict_cycles,
         "dram_transactions": stats.dram_transactions,
-        "divergence": {
-            "window": divergence.window,
-            "totals": divergence.totals().tolist(),
-            "issues": [list(row) for row in divergence.issues],
-            "idle": list(divergence.idle),
-            "stall": list(divergence.stall),
-        },
+        "divergence": divergence_snapshot(stats.divergence),
     }
 
 
 @pytest.mark.parametrize("scene,mode", CASES,
                          ids=[f"{s}-{m}" for s, m in CASES])
 def test_golden_stats(scene, mode, update_golden):
-    path = GOLDEN_DIR / f"{scene}_{mode}.json"
-    snapshot = golden_snapshot(scene, mode)
-    if update_golden:
-        GOLDEN_DIR.mkdir(exist_ok=True)
-        path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-        return
-    assert path.exists(), (
-        f"missing golden snapshot {path.name}; generate it with "
-        "pytest --update-golden")
-    golden = json.loads(path.read_text())
-    assert snapshot == golden
+    check_golden(GOLDEN_DIR / f"{scene}_{mode}.json",
+                 golden_snapshot(scene, mode), update_golden)
+
+
+#: DWF workloads: (preset, ray kind, cycle cap). The first is the tiny
+#: ablation exactly as ``ablation_dwf`` runs it (to completion under the
+#: preset's cap); the other two stop at ``MAX_CYCLES``.
+DWF_CASES = (
+    ("tiny", "primary", None),
+    ("fast", "primary", MAX_CYCLES),
+    ("tiny", "gi", MAX_CYCLES),
+)
+
+#: ``ablation_dwf``'s thread count: one SM's worth of PDOM residency.
+DWF_THREADS = 736
+
+
+def dwf_golden_snapshot(preset_name: str, ray_kind: str,
+                        max_cycles: int | None) -> dict:
+    from repro.kernels.traditional import traditional_program
+    from repro.simt.dwf import run_dwf
+
+    preset = get_preset(preset_name)
+    workload = prepare_workload("conference", preset, ray_kind=ray_kind,
+                                seed=0)
+    image = image_for_workload(workload)
+    cap = preset.max_cycles if max_cycles is None else max_cycles
+    num_threads = min(workload.num_rays, DWF_THREADS)
+    result = run_dwf(config_for_mode("pdom_warp", preset),
+                     traditional_program(), "trace", image.global_mem,
+                     image.const_mem, num_threads=num_threads,
+                     max_cycles=cap)
+    stats = result.stats
+    return {
+        "scene": "conference",
+        "preset": preset_name,
+        "ray_kind": ray_kind,
+        "num_threads": num_threads,
+        "max_cycles": cap,
+        "cycles": result.cycles,
+        "rays_completed": result.rays_completed,
+        "issued_instructions": stats.issued_instructions,
+        "committed_thread_instructions": stats.committed_thread_instructions,
+        "idle_cycles": stats.idle_cycles,
+        "threads_exited": stats.threads_exited,
+        "dram_read_bytes": stats.dram_read_bytes,
+        "dram_write_bytes": stats.dram_write_bytes,
+        "global_mem_sha256": hashlib.sha256(
+            image.global_mem.words.tobytes()).hexdigest(),
+        "divergence": divergence_snapshot(result.divergence),
+    }
+
+
+@pytest.mark.parametrize("preset_name,ray_kind,max_cycles", DWF_CASES,
+                         ids=[f"dwf-{p}-{k}" for p, k, _ in DWF_CASES])
+def test_dwf_golden_stats(preset_name, ray_kind, max_cycles, update_golden):
+    check_golden(GOLDEN_DIR / f"dwf_conference_{ray_kind}_{preset_name}.json",
+                 dwf_golden_snapshot(preset_name, ray_kind, max_cycles),
+                 update_golden)

@@ -282,3 +282,22 @@ def tiny_stats_doc():
     result = execute_job(SweepJob(scene="conference", mode="spawn",
                                   preset="tiny", max_cycles=5_000))
     return result.stats.to_dict()
+
+
+def test_wire_import_loads_neither_daemon_nor_client():
+    """The package exports resolve lazily: a process that imports only the
+    wire schema (every ``repro worker`` does) loads no HTTP module."""
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    code = ("import sys, repro.serve.wire; "
+            "print(sorted(name for name in sys.modules "
+            "if name in ('repro.serve.client', 'repro.serve.server')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, cwd=src,
+                          env={"PYTHONPATH": src, "PATH": ""})
+    assert proc.stdout.strip() == "[]"
