@@ -113,8 +113,6 @@ class GPUConfig:
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     spawn: SpawnConfig = field(default_factory=SpawnConfig)
     max_cycles: int = 300_000
-    divergence_sample_interval: int = 1
-    """Issue-granularity sampling interval for divergence breakdowns."""
     fast_forward: bool = True
     """Event-driven clock advance: when no SM can issue, jump straight to
     the next event time (earliest warp ``ready_at``, memory completion, or

@@ -59,7 +59,15 @@ class MemoryError_(ReproError):
 
 
 class SchedulingError(ReproError):
-    """The SM scheduler reached an inconsistent state (e.g. deadlock)."""
+    """The SM scheduler reached an inconsistent state (e.g. deadlock).
+
+    A deadlock diagnosis carries the simulated ``cycle`` it was raised at;
+    other scheduling errors leave it None.
+    """
+
+    def __init__(self, message: str, cycle: int | None = None):
+        super().__init__(message)
+        self.cycle = cycle
 
 
 class SweepError(ReproError):

@@ -15,12 +15,12 @@ scheduling (pdom_block), and ``spawn`` programs run on the spawn model.
 The MIMD reference runs everything.
 
 The clock is the one knob that promises bit-identical statistics, not
-merely equal memory images: for every SM model the ``exact`` variant's
-:func:`~repro.harness.sweep.run_stats_digest` must equal the fast-clock
-``base`` run's. That catches a fast-forward bug that shifts idle or
-stall cycles without changing any functional output. DWF is exempt: its
-statistics are not a :class:`~repro.simt.gpu.RunStats`, and the
-fast-forward differential tests cover its two clocks.
+merely equal memory images: for every model the ``exact`` variant's
+statistics must equal the fast-clock ``base`` run's — the
+:func:`~repro.harness.sweep.run_stats_digest` of an SM model's
+:class:`~repro.simt.gpu.RunStats`, every counter of DWF's
+:class:`~repro.simt.stats.SMStats`. That catches a fast-forward bug that
+shifts idle or stall cycles without changing any functional output.
 """
 
 from __future__ import annotations
@@ -271,15 +271,16 @@ def run_case(case: Case, models=None) -> CaseResult:
                 result.failures.append(
                     f"{model}/{variant}: {type(error).__name__}: {error}")
                 continue
-            if model != "dwf" and variant in ("base", "exact"):
-                digests[variant] = run_stats_digest(run.stats)
+            if variant in ("base", "exact"):
+                digests[variant] = (run.stats.to_dict() if model == "dwf"
+                                    else run_stats_digest(run.stats))
             result.failures += _compare_to_reference(case, reference, run)
             for problem in check_run(run.stats, run.recorder, run.session,
                                      grid_threads=case.num_threads):
                 result.failures.append(f"{model}/{variant}: {problem}")
         if len(digests) == 2 and digests["exact"] != digests["base"]:
             result.failures.append(
-                f"{model}/exact: RunStats diverge from the fast-clock base "
+                f"{model}/exact: statistics diverge from the fast-clock base "
                 f"run (the two clocks must be bit-identical)")
     return result
 

@@ -25,7 +25,7 @@ import sys
 
 from repro.analysis.bandwidth import bandwidth_table
 from repro.analysis.divergence import breakdown_from_stats, render_breakdown
-from repro.analysis.report import format_bars, format_table
+from repro.analysis.report import format_table
 from repro.config import paper_config
 from repro.harness.presets import SimPreset, get_preset
 from repro.harness.runner import mimd_rays_per_second, prepare_workload

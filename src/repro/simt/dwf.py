@@ -24,6 +24,12 @@ entry's mask when a branch split it or an ``exit`` retired part of it.
 One visible consequence: ``SREG.ntid`` reads ``num_threads``, the width of
 the lane view, rather than the size of the issue group. No kernel or fuzzer
 program reads it.
+
+Only the grouping is DWF's own. The plan lookup
+(:meth:`~repro.simt.executor.MachineState.plan_at`), the latency rule
+(:func:`~repro.simt.executor.ready_cycle`) and the run loop
+(:func:`~repro.simt.gpu.run_core`, deadlock horizon included) are the
+ones a one-SM GPU uses.
 """
 
 from __future__ import annotations
@@ -33,10 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import GPUConfig
-from repro.errors import ConfigError, ExecutionError, SchedulingError
+from repro.errors import ConfigError, SchedulingError
 from repro.isa.cfg import RECONV_AT_EXIT
 from repro.simt.banked import BankedMemory
-from repro.simt.executor import ALU, CONTROL, OFFCHIP, ONCHIP, MachineState
+from repro.simt.executor import BARRIER, SPAWN, MachineState, ready_cycle
+from repro.simt.gpu import run_core
 from repro.simt.memory import DRAM, GlobalMemory
 from repro.simt.stack import StackEntry
 from repro.simt.stats import DivergenceSampler, SMStats
@@ -167,30 +174,13 @@ class DWFCore:
         # DWF reads none of ``execute``'s per-warp bookkeeping (issue count,
         # per-lane commit batching), so it calls the PC's plan directly.
         machine = self.machine
-        plans = machine.plans
-        if pc >= len(plans):
-            raise ExecutionError("PC outside program", pc=pc)
-        plan = plans[pc]
-        if plan is None:
-            plan = machine.plan_for(pc)
-        result = plan(warp, top)
-        config = self.config
-        if result.kind in (ALU, CONTROL):
-            ready = cycle + config.alu_latency
-        elif result.kind == ONCHIP:
-            ready = cycle + config.onchip_latency + result.conflict_penalty
-        elif result.kind == OFFCHIP:
-            if result.addresses is None or result.addresses.size == 0:
-                ready = cycle + config.alu_latency
-            else:
-                ready = (self.dram.access(cycle, result.addresses,
-                                          result.is_store)
-                         + result.conflict_penalty)
-        else:
+        result = machine.plan_at(pc)(warp, top)
+        if result.kind in (SPAWN, BARRIER):
             raise SchedulingError(
                 f"DWF does not support {machine.program[pc].op} "
                 f"instructions (pc={pc}); run the traditional kernel")
-        self.ready_at[group] = ready
+        self.ready_at[group] = ready_cycle(result, cycle, self.config,
+                                           self.dram)
         entries = stack.entries
         if len(entries) == 1 and entries[0].count == size:
             pcs[group] = entries[0].pc
@@ -245,18 +235,8 @@ def run_dwf(config: GPUConfig, program, entry_kernel: str,
                    num_regs=num_regs, num_threads=num_threads,
                    divergence_window=divergence_window)
     budget = max_cycles if max_cycles is not None else config.max_cycles
-    fast = config.fast_forward
-    cycle = 0
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        while cycle < budget and not core.done:
-            progressed = core.step(cycle)
-            cycle += 1
-            if fast and not progressed and cycle < budget and not core.done:
-                target = core.next_event_time(cycle)
-                target = budget if target is None else min(target, budget)
-                if target > cycle:
-                    core.credit_skipped(cycle, target)
-                    cycle = target
+        cycle = run_core(core, 0, budget)
     core.stats.dram_read_bytes = dram.read_bytes
     core.stats.dram_write_bytes = dram.write_bytes
     result = DWFResult(cycles=cycle, stats=core.stats,

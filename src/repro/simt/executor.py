@@ -4,14 +4,16 @@ The executor applies an instruction to every active lane of a warp using
 masked numpy operations, updates the SIMT stack for control flow, and
 returns an :class:`IssueResult` describing the timing-relevant side effects
 (memory addresses to coalesce, bank-conflict penalties, spawn requests,
-lane exits) that the SM turns into latency.
+lane exits). :func:`ready_cycle` turns a result into latency, for the SM
+and for the DWF core alike.
 
 Decode happens once per static instruction, not once per issue: the first
 time a PC is executed the instruction is *compiled* into a closure (a
 "plan") that has already resolved the opcode dispatch, operand fetchers,
 guard predicate, and reconvergence metadata. Plans are cached on the
-:class:`MachineState` (indexed by PC) so the per-issue cost is just the
-closure call plus the numpy work itself. Immediate operands are served
+:class:`MachineState` (indexed by PC, looked up through
+:meth:`MachineState.plan_at`) so the per-issue cost is just the closure
+call plus the numpy work itself. Immediate operands are served
 from a process-wide read-only array cache keyed by (type, value, width) —
 warp widths vary between machines: the SM's warps are ``warp_size`` lanes
 wide, DWF's single lane view (:mod:`repro.simt.dwf`) one lane per thread.
@@ -97,11 +99,18 @@ class MachineState:
         :class:`repro.simt.snapshot.SnapshotRecorder`). When attached, the
         exit plan reports each retiring lane's final register file and the
         finished warp's stack counters; None (the default) keeps the hot
-        path branch-predictable and allocation-free."""
+        path branch-predictable and allocation-free. Exit plans read the
+        hook when they are compiled, so attach it before the run."""
 
-    def plan_for(self, pc: int):
-        plan = _compile(self.program[pc], self)
-        self.plans[pc] = plan
+    def plan_at(self, pc: int):
+        """The compiled plan of the instruction at ``pc``, compiled on first
+        use; a PC outside the program raises :class:`ExecutionError`."""
+        plans = self.plans
+        if not 0 <= pc < len(plans):
+            raise ExecutionError("PC outside program", pc=pc)
+        plan = plans[pc]
+        if plan is None:
+            plan = plans[pc] = _compile(self.program[pc], self)
         return plan
 
 
@@ -177,20 +186,6 @@ _UNARY_OPS = {
 }
 
 
-def _binary_op(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    fn = _BINARY_OPS.get(op)
-    if fn is None:
-        raise ExecutionError(f"unhandled binary op {op!r}")
-    return fn(a, b)
-
-
-def _unary_op(op: str, a: np.ndarray) -> np.ndarray:
-    fn = _UNARY_OPS.get(op)
-    if fn is None:
-        raise ExecutionError(f"unhandled unary op {op!r}")
-    return fn(a)
-
-
 _COMPARES = {
     "lt": np.less, "le": np.less_equal, "gt": np.greater,
     "ge": np.greater_equal, "eq": np.equal, "ne": np.not_equal,
@@ -263,11 +258,6 @@ def _compile_fetch(operand):
     raise ExecutionError(f"cannot fetch operand {operand!r}")
 
 
-def _fetch(warp: Warp, operand) -> np.ndarray:
-    """Uncompiled operand fetch (kept for direct use in tests)."""
-    return _compile_fetch(operand)(warp)
-
-
 class _ResultCache(dict):
     """Shared immutable IssueResults keyed by active count, filled on first
     miss. An ALU or control result depends only on the count, so plans index
@@ -306,9 +296,7 @@ def execute(warp: Warp, machine: MachineState) -> IssueResult:
         raise ExecutionError("reconvergence stack underflow")
     top = entries[-1]
     pc = top.pc
-    plans = machine.plans
-    if not 0 <= pc < len(plans):
-        raise ExecutionError("PC outside program", pc=pc)
+    plan = machine.plan_at(pc)
     if warp.status == FINISHED or top.count == 0:
         raise ExecutionError("issued a warp with no active lanes", pc=pc)
     warp.issued_instructions += 1
@@ -321,10 +309,28 @@ def execute(warp: Warp, machine: MachineState) -> IssueResult:
         warp.flush_commits()
         warp._commit_mask = mask
         warp._commit_count = 1
-    plan = plans[pc]
-    if plan is None:
-        plan = machine.plan_for(pc)
     return plan(warp, top)
+
+
+def ready_cycle(result: IssueResult, cycle: int, config, dram) -> int:
+    """The cycle at which the lanes that issued ``result`` at ``cycle`` may
+    issue again: the one latency rule of the SM and the DWF core.
+
+    On-chip accesses take ``config.onchip_latency`` plus their bank-conflict
+    penalty; off-chip accesses with addresses complete when ``dram`` (a
+    :class:`~repro.simt.memory.DRAM`, queued here) delivers them, plus the
+    atomic serialization penalty; everything else takes
+    ``config.alu_latency``.
+    """
+    kind = result.kind
+    if kind == ONCHIP:
+        return cycle + config.onchip_latency + result.conflict_penalty
+    if kind == OFFCHIP:
+        addresses = result.addresses
+        if addresses is not None and addresses.size:
+            return (dram.access(cycle, addresses, result.is_store)
+                    + result.conflict_penalty)
+    return cycle + config.alu_latency
 
 
 # -- plan compilation ---------------------------------------------------------
@@ -349,206 +355,119 @@ def _compile(inst: Instruction, machine: MachineState):
 
 
 def _compile_alu(inst: Instruction):
-    op = inst.op
     next_pc = inst.pc + 1
     guard = _compile_guard(inst)
+    write = _compile_write(inst)
 
+    # An unguarded full warp writes with where=True: every lane, and no
+    # mask for the ufunc to test. NaN comparisons are quiet because both
+    # run loops (GPU and DWF) execute plans under a blanket
+    # np.errstate(invalid="ignore").
+    def plan(warp: Warp, top) -> IssueResult:
+        count = top.count
+        if guard is not None:
+            where = guard(warp, top.mask)
+        elif count == warp.warp_size:
+            where = True
+        else:
+            where = top.mask
+        write(warp, where)
+        top.pc = next_pc
+        if next_pc == top.reconv_pc and len(warp.stack.entries) > 1:
+            warp.stack._pop_reconverged()
+        return _ALU_RESULTS[count]
+    return plan
+
+
+def _compile_write(inst: Instruction):
+    """The ``write(warp, where)`` closure of an ALU instruction: compute
+    the result and store it into the destination row's ``where`` lanes
+    (``True`` for all of them). Masked-out lanes keep their value."""
+    op = inst.op
     if op == "nop":
-        def plan(warp: Warp, top) -> IssueResult:
-            top.pc = next_pc
-            if next_pc == top.reconv_pc and len(warp.stack.entries) > 1:
-                warp.stack._pop_reconverged()
-            return _ALU_RESULTS[top.count]
-        return plan
-
+        return lambda warp, where: None
+    dst = inst.dst.value
+    fetch_a = _compile_fetch(inst.srcs[0])
     if op == "setp":
-        fetch_a = _compile_fetch(inst.srcs[0])
         fetch_b = _compile_fetch(inst.srcs[1])
         compare = _COMPARES[inst.cmp]
-        dst = inst.dst.value
 
-        # Comparison ufuncs write the predicate row in place; masked-out
-        # lanes keep their previous value, matching dest[mask] = res[mask].
-        # A fully-populated unguarded warp skips the where= machinery:
-        # writing every lane is identical and measurably cheaper. NaN
-        # comparisons are quiet because both run loops (GPU and DWF)
-        # execute plans under a blanket np.errstate(invalid="ignore").
-        def plan(warp: Warp, top) -> IssueResult:
-            count = top.count
-            if guard is None:
-                if count == warp.warp_size:
-                    compare(fetch_a(warp), fetch_b(warp),
-                            out=warp.pred_rows[dst])
-                else:
-                    compare(fetch_a(warp), fetch_b(warp),
-                            out=warp.pred_rows[dst], where=top.mask)
-            else:
-                compare(fetch_a(warp), fetch_b(warp),
-                        out=warp.pred_rows[dst],
-                        where=guard(warp, top.mask))
-            top.pc = next_pc
-            if next_pc == top.reconv_pc and len(warp.stack.entries) > 1:
-                warp.stack._pop_reconverged()
-            return _ALU_RESULTS[count]
-        return plan
-
+        def write(warp: Warp, where) -> None:
+            compare(fetch_a(warp), fetch_b(warp), out=warp.pred_rows[dst],
+                    where=where)
+        return write
+    to_reg = inst.dst.kind != "p"
     if op == "selp":
-        fetch_a = _compile_fetch(inst.srcs[0])
         fetch_b = _compile_fetch(inst.srcs[1])
         chooser = inst.srcs[2].value
-
-        # Fused select: copy the not-taken value then overwrite the taken
-        # lanes, skipping np.where's temporary. Requires that the first
-        # source does not alias the destination (it is read second).
-        if (inst.dst.kind != "p"
-                and not (inst.srcs[0].kind == "r"
-                         and inst.srcs[0].value == inst.dst.value)):
-            dst = inst.dst.value
-
-            def plan(warp: Warp, top) -> IssueResult:
-                count = top.count
+        if to_reg and inst.srcs[0] != inst.dst:
+            # Fused select on a full write: copy the not-taken value, then
+            # overwrite the taken lanes, skipping np.where's temporary. The
+            # first source is read second, so it must not be the
+            # destination.
+            def write(warp: Warp, where) -> None:
                 dest = warp.reg_rows[dst]
                 pred = warp.pred_rows[chooser]
-                if guard is None and count == warp.warp_size:
+                if where is True:
                     np.copyto(dest, fetch_b(warp))
                     np.copyto(dest, fetch_a(warp), where=pred)
                 else:
-                    mask = (top.mask if guard is None
-                            else guard(warp, top.mask))
-                    np.copyto(dest,
-                              np.where(pred, fetch_a(warp), fetch_b(warp)),
-                              where=mask)
-                top.pc = next_pc
-                if next_pc == top.reconv_pc and len(warp.stack.entries) > 1:
-                    warp.stack._pop_reconverged()
-                return _ALU_RESULTS[count]
-            return plan
+                    np.copyto(dest, np.where(pred, fetch_a(warp),
+                                             fetch_b(warp)), where=where)
+            return write
 
         def compute(warp: Warp) -> np.ndarray:
             return np.where(warp.pred_rows[chooser], fetch_a(warp),
                             fetch_b(warp))
     elif op == "mad":
-        fetch_a = _compile_fetch(inst.srcs[0])
         fetch_b = _compile_fetch(inst.srcs[1])
         fetch_c = _compile_fetch(inst.srcs[2])
-        dst = inst.dst.value
-        if inst.dst.kind != "p":
-            def plan(warp: Warp, top) -> IssueResult:
-                count = top.count
-                if guard is None:
-                    if count == warp.warp_size:
-                        np.add(fetch_a(warp) * fetch_b(warp), fetch_c(warp),
-                               out=warp.reg_rows[dst])
-                    else:
-                        np.add(fetch_a(warp) * fetch_b(warp), fetch_c(warp),
-                               out=warp.reg_rows[dst], where=top.mask)
-                else:
-                    np.add(fetch_a(warp) * fetch_b(warp), fetch_c(warp),
-                           out=warp.reg_rows[dst],
-                           where=guard(warp, top.mask))
-                top.pc = next_pc
-                if next_pc == top.reconv_pc and len(warp.stack.entries) > 1:
-                    warp.stack._pop_reconverged()
-                return _ALU_RESULTS[count]
-            return plan
+        if to_reg:
+            # Fused masked update: the ufunc computes straight into the
+            # destination row, skipping the temporary + copyto.
+            def write(warp: Warp, where) -> None:
+                np.add(fetch_a(warp) * fetch_b(warp), fetch_c(warp),
+                       out=warp.reg_rows[dst], where=where)
+            return write
 
         def compute(warp: Warp) -> np.ndarray:
             return fetch_a(warp) * fetch_b(warp) + fetch_c(warp)
     elif len(inst.srcs) == 2:
-        fetch_a = _compile_fetch(inst.srcs[0])
         fetch_b = _compile_fetch(inst.srcs[1])
         fn2 = _BINARY_OPS.get(op)
         if fn2 is None:
             raise ExecutionError(f"unhandled binary op {op!r}")
-        if inst.dst.kind != "p" and isinstance(fn2, np.ufunc):
-            dst = inst.dst.value
-
-            # Fused masked update: one ufunc call computes straight into
-            # the destination row, skipping the temporary + copyto.
-            def plan(warp: Warp, top) -> IssueResult:
-                count = top.count
-                if guard is None:
-                    if count == warp.warp_size:
-                        fn2(fetch_a(warp), fetch_b(warp),
-                            out=warp.reg_rows[dst])
-                    else:
-                        fn2(fetch_a(warp), fetch_b(warp),
-                            out=warp.reg_rows[dst], where=top.mask)
-                else:
-                    fn2(fetch_a(warp), fetch_b(warp),
-                        out=warp.reg_rows[dst], where=guard(warp, top.mask))
-                top.pc = next_pc
-                if next_pc == top.reconv_pc and len(warp.stack.entries) > 1:
-                    warp.stack._pop_reconverged()
-                return _ALU_RESULTS[count]
-            return plan
+        if to_reg and isinstance(fn2, np.ufunc):
+            def write(warp: Warp, where) -> None:
+                fn2(fetch_a(warp), fetch_b(warp), out=warp.reg_rows[dst],
+                    where=where)
+            return write
 
         def compute(warp: Warp) -> np.ndarray:
             return fn2(fetch_a(warp), fetch_b(warp))
     else:
-        fetch_a = _compile_fetch(inst.srcs[0])
         fn1 = _UNARY_OPS.get(op)
         if fn1 is None:
             raise ExecutionError(f"unhandled unary op {op!r}")
-        if inst.dst.kind != "p":
-            dst = inst.dst.value
-            if fn1 is _op_mov:
-                def plan(warp: Warp, top) -> IssueResult:
-                    count = top.count
-                    if guard is None:
-                        if count == warp.warp_size:
-                            np.copyto(warp.reg_rows[dst], fetch_a(warp))
-                        else:
-                            np.copyto(warp.reg_rows[dst], fetch_a(warp),
-                                      where=top.mask)
-                    else:
-                        np.copyto(warp.reg_rows[dst], fetch_a(warp),
-                                  where=guard(warp, top.mask))
-                    top.pc = next_pc
-                    if (next_pc == top.reconv_pc
-                            and len(warp.stack.entries) > 1):
-                        warp.stack._pop_reconverged()
-                    return _ALU_RESULTS[count]
-                return plan
-            if isinstance(fn1, np.ufunc):
-                def plan(warp: Warp, top) -> IssueResult:
-                    count = top.count
-                    if guard is None:
-                        if count == warp.warp_size:
-                            fn1(fetch_a(warp), out=warp.reg_rows[dst])
-                        else:
-                            fn1(fetch_a(warp), out=warp.reg_rows[dst],
-                                where=top.mask)
-                    else:
-                        fn1(fetch_a(warp), out=warp.reg_rows[dst],
-                            where=guard(warp, top.mask))
-                    top.pc = next_pc
-                    if (next_pc == top.reconv_pc
-                            and len(warp.stack.entries) > 1):
-                        warp.stack._pop_reconverged()
-                    return _ALU_RESULTS[count]
-                return plan
+        if to_reg and fn1 is _op_mov:
+            def write(warp: Warp, where) -> None:
+                np.copyto(warp.reg_rows[dst], fetch_a(warp), where=where)
+            return write
+        if to_reg and isinstance(fn1, np.ufunc):
+            def write(warp: Warp, where) -> None:
+                fn1(fetch_a(warp), out=warp.reg_rows[dst], where=where)
+            return write
 
         def compute(warp: Warp) -> np.ndarray:
             return fn1(fetch_a(warp))
 
-    if inst.dst.kind == "p":
-        dst = inst.dst.value
-
-        def plan(warp: Warp, top) -> IssueResult:
-            mask = top.mask if guard is None else guard(warp, top.mask)
-            np.copyto(warp.pred_rows[dst], compute(warp) != 0.0, where=mask)
-            warp.stack.advance(next_pc)
-            return _ALU_RESULTS[top.count]
+    if to_reg:
+        def write(warp: Warp, where) -> None:
+            np.copyto(warp.reg_rows[dst], compute(warp), where=where)
     else:
-        dst = inst.dst.value
-
-        def plan(warp: Warp, top) -> IssueResult:
-            mask = top.mask if guard is None else guard(warp, top.mask)
-            np.copyto(warp.reg_rows[dst], compute(warp), where=mask)
-            warp.stack.advance(next_pc)
-            return _ALU_RESULTS[top.count]
-    return plan
+        def write(warp: Warp, where) -> None:
+            np.copyto(warp.pred_rows[dst], compute(warp) != 0.0, where=where)
+    return write
 
 
 def _compile_branch(inst: Instruction, machine: MachineState):
@@ -596,6 +515,7 @@ def _compile_exit(inst: Instruction, machine: MachineState):
     pc = inst.pc
     next_pc = pc + 1
     guard = _compile_guard(inst)
+    snapshot = machine.snapshot
 
     def plan(warp: Warp, top) -> IssueResult:
         active_count = top.count
@@ -609,7 +529,6 @@ def _compile_exit(inst: Instruction, machine: MachineState):
             warp.stack.advance(next_pc)
             return _CONTROL_RESULTS[active_count]
         executing_entry = top
-        snapshot = machine.snapshot
         if snapshot is not None:
             snapshot.on_exit(warp, mask)
         ends_chain = mask & ~warp.spawned_flag & (warp.data_slot_addr >= 0)
@@ -731,13 +650,14 @@ def _compile_memory(inst: Instruction, machine: MachineState):
             warp.regs[load_reg:load_reg + width, lanes] = grid.T
 
     if space in ("global", "local"):
+        memory = machine.global_mem
+
         def plan(warp: Warp, top) -> IssueResult:
             lanes, n = active_lanes(warp, top)
             if n == 0:
                 warp.stack.advance(next_pc)
                 return _ALU_RESULTS[top.count]
             all_addresses = gather_addresses(warp, lanes)
-            memory = machine.global_mem
             completions = 0
             if is_store:
                 completions = memory.write(all_addresses,
@@ -751,13 +671,15 @@ def _compile_memory(inst: Instruction, machine: MachineState):
         return plan
 
     if space == "const":
+        const_mem = machine.const_mem
+
         def plan(warp: Warp, top) -> IssueResult:
             lanes, n = active_lanes(warp, top)
             if n == 0:
                 warp.stack.advance(next_pc)
                 return _ALU_RESULTS[top.count]
             all_addresses = gather_addresses(warp, lanes)
-            load_values(warp, lanes, n, machine.const_mem[all_addresses])
+            load_values(warp, lanes, n, const_mem[all_addresses])
             warp.stack.advance(next_pc)
             # The constant cache (present on the modelled GT200 even though
             # Table I disables L1/L2 data caches) makes uniform constant
@@ -805,6 +727,7 @@ def _compile_atomic(inst: Instruction, machine: MachineState):
     operand = inst.srcs[1]
     dst = inst.dst.value
     cmp = inst.cmp
+    memory = machine.global_mem
 
     def plan(warp: Warp, top) -> IssueResult:
         mask = top.mask if guard is None else guard(warp, top.mask)
@@ -816,7 +739,6 @@ def _compile_atomic(inst: Instruction, machine: MachineState):
         values = (np.full(lanes.size, operand.value)
                   if operand.kind == "imm"
                   else warp.reg_rows[operand.value][lanes])
-        memory = machine.global_mem
         memory._check(addresses)
         old = np.empty(lanes.size)
         for index in range(lanes.size):

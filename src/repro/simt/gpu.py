@@ -34,6 +34,49 @@ DEADLOCK_HORIZON = 100_000
 STATS_VERSION = 1
 
 
+def deadlock_error(cycle: int) -> SchedulingError:
+    """The diagnosis every run loop raises at ``cycle`` once no instruction
+    has issued for :data:`DEADLOCK_HORIZON` cycles."""
+    return SchedulingError(
+        f"no instruction issued for {DEADLOCK_HORIZON} cycles "
+        f"(cycle {cycle}); simulation is deadlocked", cycle=cycle)
+
+
+def run_core(core, cycle: int, budget: int) -> int:
+    """Step one core from ``cycle`` until it is done or the clock reaches
+    ``budget``; returns the final cycle.
+
+    The single-core run loop of a one-SM :class:`GPU` and of
+    :func:`repro.simt.dwf.run_dwf`: ``core`` is an :class:`SM` or a
+    :class:`~repro.simt.dwf.DWFCore`. On the fast clock a cycle without an
+    issue jumps straight to the core's next event, capped at the budget and
+    at the deadlock horizon so the diagnosis fires at the same cycle as on
+    the exact clock. The skipped span is credited through
+    ``core.credit_skipped``, which keeps every statistic bit-identical to
+    ticking cycle by cycle.
+    """
+    fast = core.config.fast_forward
+    last_progress = cycle
+    while cycle < budget:
+        progressed = core.step(cycle)
+        if progressed:
+            last_progress = cycle
+        elif core.done:
+            break
+        elif cycle - last_progress > DEADLOCK_HORIZON:
+            raise deadlock_error(cycle)
+        cycle += 1
+        if fast and not progressed and cycle < budget:
+            target = min(budget, last_progress + DEADLOCK_HORIZON + 1)
+            event = core.next_event_time(cycle)
+            if event is not None and event < target:
+                target = event
+            if target > cycle:
+                core.credit_skipped(cycle, target)
+                cycle = target
+    return cycle
+
+
 @dataclass
 class LaunchSpec:
     """Everything needed to launch a grid on the machine."""
@@ -320,51 +363,38 @@ class GPU:
     def run(self, max_cycles: int | None = None) -> RunStats:
         """Simulate until completion or the cycle budget; returns stats."""
         budget = max_cycles if max_cycles is not None else self.config.max_cycles
-        last_progress = self.cycle
         # Kernels lean on IEEE semantics (inf - inf, 0 * inf, 1/0) for
         # branch-free hit tests; silence the corresponding numpy warnings
         # for the whole run instead of per instruction.
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            self._run_loop(budget, last_progress)
+            try:
+                self._run_loop(budget)
+            except SchedulingError as error:
+                if error.cycle is not None:  # a deadlock stops the clock
+                    self.cycle = error.cycle
+                raise
         return self.collect_stats()
 
-    def _run_loop(self, budget: int, last_progress: int) -> None:
+    def _run_loop(self, budget: int) -> None:
         """Pick the run loop from the SM count and the clock.
 
-        - One SM, either clock: the specialised single-SM loop below. It
-          has the same visible behaviour as the other loops without their
-          per-SM bookkeeping, which on one SM costs more than it saves.
+        - One SM, either clock: :func:`run_core`, the single-core loop that
+          DWF runs too. It has the same visible behaviour as the loops
+          below without their per-SM bookkeeping, which on one SM costs
+          more than it saves.
         - Several SMs, fast clock: :meth:`_run_heap_loop`, which steps
           only the SMs that can act.
         - Several SMs, exact clock: the per-cycle loop at the end, which
           steps every live SM every cycle. It is the oracle the fast
           clock is checked against.
         """
-        fast = self.config.fast_forward
         if len(self.sms) == 1:
-            sm = self.sms[0]
-            cycle = self.cycle
-            while cycle < budget:
-                progressed = sm.step(cycle)
-                if progressed:
-                    last_progress = cycle
-                elif sm.done:
-                    break
-                elif cycle - last_progress > DEADLOCK_HORIZON:
-                    self.cycle = cycle
-                    raise SchedulingError(
-                        f"no instruction issued for {DEADLOCK_HORIZON} "
-                        f"cycles (cycle {cycle}); simulation is deadlocked")
-                cycle += 1
-                if fast and not progressed and cycle < budget:
-                    self.cycle = cycle
-                    self._fast_forward(budget, last_progress)
-                    cycle = self.cycle
-            self.cycle = cycle
+            self.cycle = run_core(self.sms[0], self.cycle, budget)
             return
-        if fast:
-            self._run_heap_loop(budget, last_progress)
+        if self.config.fast_forward:
+            self._run_heap_loop(budget)
             return
+        last_progress = self.cycle
         while self.cycle < budget:
             progressed = False
             alive = False
@@ -379,33 +409,10 @@ class GPU:
             if progressed:
                 last_progress = self.cycle
             elif self.cycle - last_progress > DEADLOCK_HORIZON:
-                raise SchedulingError(
-                    f"no instruction issued for {DEADLOCK_HORIZON} cycles "
-                    f"(cycle {self.cycle}); simulation is deadlocked")
+                raise deadlock_error(self.cycle)
             self.cycle += 1
 
-    def _fast_forward(self, budget: int, last_progress: int) -> None:
-        """Jump the clock to the machine's next event (single-SM loop).
-
-        The target is the earliest cycle any SM could issue or change
-        state, capped at the cycle budget and at the deadlock horizon so
-        the exact-mode deadlock diagnosis fires at the same cycle. The
-        skipped span is credited per SM to the idle/stall counters, which
-        keeps every statistic bit-identical to ticking cycle by cycle.
-        """
-        target: int | None = None
-        for sm in self.sms:
-            event = sm.next_event_time(self.cycle)
-            if event is not None and (target is None or event < target):
-                target = event
-        cap = min(budget, last_progress + DEADLOCK_HORIZON + 1)
-        target = cap if target is None else min(target, cap)
-        if target > self.cycle:
-            for sm in self.sms:
-                sm.credit_skipped(self.cycle, target)
-            self.cycle = target
-
-    def _run_heap_loop(self, budget: int, last_progress: int) -> None:
+    def _run_heap_loop(self, budget: int) -> None:
         """Event-driven multi-SM loop (fast clock, more than one SM).
 
         A min-heap of ``(wake_cycle, sm_id)`` holds each live SM's next
@@ -424,6 +431,7 @@ class GPU:
         """
         if self.cycle >= budget:
             return
+        last_progress = self.cycle
         sms = self.sms
         heap: list[tuple[int, int]] = []
         credited: dict[int, int] = {}
@@ -474,10 +482,7 @@ class GPU:
             elif target - last_progress > DEADLOCK_HORIZON:
                 for sm_id, start in credited.items():
                     sms[sm_id].credit_skipped(start, target + 1)
-                self.cycle = target
-                raise SchedulingError(
-                    f"no instruction issued for {DEADLOCK_HORIZON} cycles "
-                    f"(cycle {self.cycle}); simulation is deadlocked")
+                raise deadlock_error(target)
             self.cycle = target + 1
 
     def collect_stats(self) -> RunStats:

@@ -18,8 +18,6 @@ the paper's theoretical results (Figure 10).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.config import BYTES_PER_WORD, MemoryConfig
@@ -96,13 +94,6 @@ class GlobalMemory:
         self.words[base:base + flat.size] = flat
 
 
-@dataclass
-class _Transaction:
-    segment: int
-    is_store: bool
-    complete_at: int
-
-
 class DRAM:
     """Timing model for the interleaved memory partition."""
 
@@ -123,11 +114,6 @@ class DRAM:
         #: GPU when tracing is enabled, never consulted otherwise.
         self.probe = None
 
-    def coalesce(self, addresses: np.ndarray) -> np.ndarray:
-        """Distinct segment indices touched by the given word addresses."""
-        addresses = np.asarray(addresses, dtype=np.int64)
-        return np.unique(addresses // self.segment_words)
-
     def access(self, cycle: int, addresses: np.ndarray, is_store: bool) -> int:
         """Issue a warp's coalesced access; returns the completion cycle.
 
@@ -137,9 +123,8 @@ class DRAM:
         """
         addresses = np.asarray(addresses, dtype=np.int64)
         # Set-based dedup: warp accesses carry at most warp_size addresses,
-        # where a Python set beats np.unique (which sorts). The coalesce()
-        # method keeps the sorted-ndarray contract for external callers;
-        # nothing below depends on segment order.
+        # where a Python set beats np.unique (which sorts); nothing below
+        # depends on segment order.
         segments = set((addresses // self.segment_words).tolist())
         num_segments = len(segments)
         if num_segments == 0:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import GPUConfig, SchedulingModel
-from repro.errors import ExecutionError, SchedulingError
+from repro.errors import SchedulingError
 from repro.obs.constants import (
     IDLE_BARRIER,
     IDLE_DRAINED,
@@ -39,17 +39,17 @@ from repro.obs.constants import (
     WAIT_PIPE,
 )
 from repro.simt.executor import (
-    ALU,
     BARRIER,
-    CONTROL,
     OFFCHIP,
     ONCHIP,
     SPAWN,
     MachineState,
+    execute,
+    ready_cycle,
 )
 from repro.simt.spawn import SpawnUnit
-from repro.simt.stats import NUM_W_BUCKETS, DivergenceSampler, SMStats
-from repro.simt.warp import BLOCKED, FINISHED, READY, Warp
+from repro.simt.stats import DivergenceSampler, SMStats
+from repro.simt.warp import BLOCKED, READY, Warp
 
 
 @dataclass
@@ -301,11 +301,12 @@ class SM:
     def next_event_time(self, now: int) -> int | None:
         """Earliest cycle >= ``now`` at which this SM could change state.
 
-        Used by the single-SM loop to fast-forward after a cycle with no
-        issue, and by the multi-SM heap loop to put an SM to sleep. While
-        the issue port is stalled the only event is the stall expiring
-        (``step`` does not even admit warps during a stall); otherwise it
-        is the earliest ``ready_at`` of a READY warp.
+        Used by the single-core loop (:func:`repro.simt.gpu.run_core`) to
+        fast-forward after a cycle with no issue, and by the multi-SM heap
+        loop to put an SM to sleep. While the issue port is stalled the
+        only event is the stall expiring (``step`` does not even admit
+        warps during a stall); otherwise it is the earliest ``ready_at`` of
+        a READY warp.
         Admission (launch queue, spawn FIFO, partial-warp flush) never
         becomes possible between events: every admission blocker — free
         warp slots, free data slots, formed warps — changes only when this
@@ -406,61 +407,23 @@ class SM:
         return None
 
     def _issue(self, warp: Warp, cycle: int) -> None:
-        # Inlined executor.execute (keep the two in sync): dispatch to the
-        # compiled per-PC plan without an extra call frame.
-        machine = self.machine
-        top = warp.stack.entries[-1]
-        pc = top.pc
-        plans = machine.plans
-        if not 0 <= pc < len(plans):
-            raise ExecutionError("PC outside program", pc=pc)
-        if warp.status == FINISHED or top.count == 0:
-            raise ExecutionError("issued a warp with no active lanes", pc=pc)
-        warp.issued_instructions += 1
-        mask = top.mask
-        if mask is warp._commit_mask:
-            warp._commit_count += 1
-        else:
-            warp.flush_commits()
-            warp._commit_mask = mask
-            warp._commit_count = 1
-        plan = plans[pc]
-        if plan is None:
-            plan = machine.plan_for(pc)
-        result = plan(warp, top)
+        result = execute(warp, self.machine)
         stats = self.stats
         stats.issued_instructions += 1
         active = result.active
         stats.committed_thread_instructions += active
-        # Inlined DivergenceSampler.record_issue (keep in sync).
-        div = self.divergence
-        bucket = (active - 1) // div._per_bucket
-        if bucket >= NUM_W_BUCKETS:
-            bucket = NUM_W_BUCKETS - 1
-        issues = div.issues
-        index = cycle // div.window
-        if index >= len(issues):
-            div._bucket_for(cycle)
-        issues[index][bucket] += 1
+        self.divergence.record_issue(cycle, active)
+        kind = result.kind
         probe = self.probe
         if probe is not None:
-            probe.on_issue(cycle, active, result.kind)
-        config = self.config
+            probe.on_issue(cycle, active, kind)
+        warp.ready_at = ready_cycle(result, cycle, self.config, self.dram)
+        if probe is not None:
+            warp.wait_kind = WAIT_DRAM if kind == OFFCHIP else WAIT_PIPE
         if result.simple:
-            # Cached ALU/CONTROL outcome: latency is its only effect.
-            warp.ready_at = cycle + config.alu_latency
-            if probe is not None:
-                warp.wait_kind = WAIT_PIPE
-            return
-        if result.kind in (ALU, CONTROL):
-            warp.ready_at = cycle + config.alu_latency
-            if probe is not None:
-                warp.wait_kind = WAIT_PIPE
-        elif result.kind == ONCHIP:
+            return  # a cached ALU/CONTROL outcome: latency is its only effect
+        if kind == ONCHIP:
             penalty = result.conflict_penalty
-            warp.ready_at = cycle + config.onchip_latency + penalty
-            if probe is not None:
-                warp.wait_kind = WAIT_PIPE
             if penalty:
                 self.stall_until = max(self.stall_until, cycle + 1 + penalty)
                 stats.bank_conflict_cycles += penalty
@@ -470,22 +433,7 @@ class SM:
                 stats.onchip_write_words += result.onchip_words
             else:
                 stats.onchip_read_words += result.onchip_words
-        elif result.kind == OFFCHIP:
-            if result.addresses is None or result.addresses.size == 0:
-                warp.ready_at = cycle + config.alu_latency
-                if probe is not None:
-                    warp.wait_kind = WAIT_PIPE
-            else:
-                done = self.dram.access(cycle, result.addresses,
-                                        result.is_store)
-                # Atomics serialize lanes touching the same data.
-                warp.ready_at = done + result.conflict_penalty
-                if probe is not None:
-                    warp.wait_kind = WAIT_DRAM
-        elif result.kind == SPAWN:
-            warp.ready_at = cycle + config.alu_latency
-            if probe is not None:
-                warp.wait_kind = WAIT_PIPE
+        elif kind == SPAWN:
             if self.spawn_unit is None:
                 raise SchedulingError(
                     "spawn instruction executed without spawn hardware "
@@ -508,7 +456,7 @@ class SM:
                 if probe is not None:
                     self._stall_cause = STALL_SPAWN_CONFLICT
             stats.full_warps_formed = self.spawn_unit.full_warps_formed
-        elif result.kind == BARRIER:
+        elif kind == BARRIER:
             self._arrive_at_barrier(warp, cycle)
         stats.rays_completed += result.completions
         if result.exited_lanes:

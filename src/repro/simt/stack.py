@@ -127,6 +127,3 @@ class ReconvergenceStack:
                 survivors.append(entry)
         self.pops += len(self.entries) - len(survivors)
         self.entries = survivors
-
-    def max_depth_reached(self) -> int:
-        return len(self.entries)

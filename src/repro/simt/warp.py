@@ -13,7 +13,6 @@ NUM_PREDICATES = 8
 
 #: Warp scheduler states.
 READY = "ready"       # may issue when ready_at <= cycle
-PENDING = "pending"   # waiting on a memory response
 BLOCKED = "blocked"   # waiting at a block barrier
 FINISHED = "finished"  # all lanes exited; slot reclaimable
 

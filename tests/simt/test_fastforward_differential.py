@@ -11,7 +11,7 @@ execution models across several scene/ray/seed configurations:
 - traditional PDOM (block and warp scheduling),
 - dynamic µ-kernel spawn (conflict-free and banked spawn memory),
 - persistent threads (Aila & Laine software baseline),
-- dynamic warp formation (idealized DWF core, its own cycle loop),
+- dynamic warp formation (idealized DWF core, on the single-core loop),
 - MIMD theoretical (analytic; the clock toggle must be a no-op).
 
 On a machine with more than one SM the two clocks run different loops:
@@ -192,7 +192,7 @@ class TestPersistentThreads:
 
 
 class TestDWF:
-    """Idealized dynamic warp formation (separate cycle loop in dwf.py)."""
+    """Idealized dynamic warp formation (on the single-core loop)."""
 
     def test_fast_matches_exact(self, workload):
         fingerprints = []

@@ -68,18 +68,22 @@ class TestDRAMCoalescing:
     def test_same_segment_coalesces_to_one(self):
         dram = self.make()
         words_per_segment = 32 // BYTES_PER_WORD
-        addresses = np.arange(words_per_segment)
-        assert dram.coalesce(addresses).size == 1
+        dram.access(0, np.arange(words_per_segment), is_store=False)
+        assert dram.transactions == 1
+        assert dram.read_bytes == 32
 
     def test_distinct_segments(self):
         dram = self.make()
         addresses = np.array([0, 8, 16, 24])  # 4 different 8-word segments
-        assert dram.coalesce(addresses).size == 4
+        dram.access(0, addresses, is_store=False)
+        assert dram.transactions == 4
+        assert dram.read_bytes == 4 * 32
 
     def test_duplicate_addresses_broadcast(self):
         dram = self.make()
-        addresses = np.zeros(32, dtype=np.int64)
-        assert dram.coalesce(addresses).size == 1
+        dram.access(0, np.zeros(32, dtype=np.int64), is_store=False)
+        assert dram.transactions == 1
+        assert dram.read_bytes == 32
 
     def test_access_returns_completion_after_latency(self):
         dram = self.make()
@@ -130,4 +134,6 @@ class TestDRAMCoalescing:
     def test_coalesce_counts_unique_segments(self, addresses):
         dram = self.make()
         segments = {a // 8 for a in addresses}
-        assert dram.coalesce(np.array(addresses)).size == len(segments)
+        dram.access(0, np.array(addresses), is_store=False)
+        assert dram.transactions == len(segments)
+        assert dram.read_bytes == 32 * len(segments)

@@ -1,5 +1,8 @@
 """SM + GPU integration tests: scheduling models, occupancy, end-to-end."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -228,3 +231,24 @@ class TestRunStats:
         assert stats.dram_read_bytes > 0
         assert stats.dram_write_bytes > 0
         assert stats.dram_transactions > 0
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("spawn", (False, True))
+    def test_dropped_gpu_frees_its_machine_without_the_cycle_collector(
+            self, spawn):
+        """Compiled plans hold the memories they touch, not the
+        MachineState that caches them, so a finished machine's memories
+        and warps go as soon as the GPU is dropped."""
+        gc.disable()
+        try:
+            if spawn:
+                gpu, _, _, _ = TestSpawnExecution().run_spawn()
+            else:
+                gpu, _, _, _ = run_loop_kernel()
+            machine = weakref.ref(gpu.sms[0].machine)
+            assert any(plan is not None for plan in machine().plans)
+            del gpu
+            assert machine() is None
+        finally:
+            gc.enable()

@@ -170,11 +170,13 @@ class TestStatsSerialization:
             RunStats.from_dict(document)
 
     @pytest.mark.parametrize("key,value", (("scheduler", "scan"),
-                                           ("executor", "reference")))
+                                           ("executor", "reference"),
+                                           ("divergence_sample_interval", 1)))
     def test_removed_config_key_is_a_config_error(self, stats, key, value):
-        """Documents written while ``GPUConfig`` still had the executor
-        and scheduler knobs carry both keys; they fail with the same
-        did-you-mean error as ``replace``, not a bare TypeError."""
+        """Documents written while ``GPUConfig`` still had the executor,
+        scheduler and divergence-sampling knobs carry those keys; they
+        fail with the same did-you-mean error as ``replace``, not a bare
+        TypeError."""
         document = stats.to_dict()
         document["config"][key] = value
         with pytest.raises(ConfigError,
