@@ -5,7 +5,10 @@ the full :class:`DivergenceSampler` output plus the headline SM counters
 are compared **exactly** against checked-in JSON snapshots under
 ``tests/analysis/golden/``. The idealized DWF core (:mod:`repro.simt.dwf`),
 which has its own cycle loop, is pinned the same way on three workloads,
-together with a digest of its final global memory. Any change to
+together with a digest of its final global memory. A 30-SM machine (the
+paper's) is pinned per SM, with digests of the final global memory and of
+every SM's spawn memory, so a multi-SM run cannot drift while its two run
+loops still agree with each other. Any change to
 scheduling, reconvergence, spawn formation, memory timing, or the
 fast-forward clock that perturbs a single counter shows up as a diff here.
 
@@ -20,6 +23,7 @@ artifact for a stats-affecting change.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -30,9 +34,11 @@ from repro.harness.presets import get_preset
 from repro.harness.runner import (
     config_for_mode,
     image_for_workload,
+    launch_for_workload,
     prepare_workload,
     run_mode,
 )
+from repro.simt import GPU
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -156,3 +162,53 @@ def test_dwf_golden_stats(preset_name, ray_kind, max_cycles, update_golden):
     check_golden(GOLDEN_DIR / f"dwf_conference_{ray_kind}_{preset_name}.json",
                  dwf_golden_snapshot(preset_name, ray_kind, max_cycles),
                  update_golden)
+
+
+#: The paper's 30 SMs at tiny detail: 48x40 = 1920 GI rays, one 64-thread
+#: launch block per SM so that every SM runs, cut at 20k cycles.
+MULTI_SM_PRESET = dataclasses.replace(
+    get_preset("tiny"), name="tiny-30sm", num_sms=30, image_width=48,
+    image_height=40, max_cycles=20_000)
+
+MULTI_SM_MODES = ("pdom_block", "spawn")
+
+
+def sha256(words) -> str:
+    return hashlib.sha256(words.tobytes()).hexdigest()
+
+
+def multi_sm_golden_snapshot(mode: str) -> dict:
+    preset = MULTI_SM_PRESET
+    workload = prepare_workload("atrium", preset, ray_kind="gi")
+    assert workload.num_rays == preset.num_sms * 64
+    image = image_for_workload(workload)
+    gpu = GPU(config_for_mode(mode, preset),
+              launch_for_workload(mode, workload), image.global_mem,
+              image.const_mem, divergence_window=preset.divergence_window)
+    stats = gpu.run(max_cycles=preset.max_cycles)
+    return {
+        "scene": "atrium",
+        "ray_kind": "gi",
+        "mode": mode,
+        "num_sms": preset.num_sms,
+        "num_rays": workload.num_rays,
+        "max_cycles": preset.max_cycles,
+        "cycles": stats.cycles,
+        "rays_completed": stats.rays_completed,
+        "dram_read_bytes": stats.dram_read_bytes,
+        "dram_write_bytes": stats.dram_write_bytes,
+        "dram_transactions": stats.dram_transactions,
+        "per_sm": [sm.to_dict() for sm in stats.per_sm],
+        "divergence": divergence_snapshot(stats.divergence),
+        "global_mem_sha256": sha256(image.global_mem.words),
+        # PDOM SMs have no spawn memory.
+        "spawn_mem_sha256": [
+            None if sm.spawn_unit is None
+            else sha256(sm.spawn_unit.spawn_mem.words) for sm in gpu.sms],
+    }
+
+
+@pytest.mark.parametrize("mode", MULTI_SM_MODES)
+def test_multi_sm_golden_stats(mode, update_golden):
+    check_golden(GOLDEN_DIR / f"atrium_gi_30sm_{mode}.json",
+                 multi_sm_golden_snapshot(mode), update_golden)
