@@ -146,7 +146,7 @@ def run_model(case: Case, model: str, *, warp_size: int = 32,
     session = TraceSession() if trace else None
     gpu = GPU(config, launch, global_mem, const_mem, trace=session)
     recorder = SnapshotRecorder()
-    gpu.sms[0].machine.snapshot = recorder
+    gpu.machine.snapshot = recorder
     if shuffle_seed is not None:
         queue = gpu.sms[0].launch_queue
         blocks = list(queue)
@@ -157,7 +157,7 @@ def run_model(case: Case, model: str, *, warp_size: int = 32,
     stats = gpu.run()
     return ModelRun(model=model, variant=variant,
                     global_mem=global_mem.words.copy(),
-                    shared_mem=gpu.sms[0].machine.shared_mem.words.copy(),
+                    shared_mem=gpu.sms[0].shared_mem.words.copy(),
                     recorder=recorder, stats=stats, session=session,
                     threads_spawned=int(stats.sm_stats.threads_spawned))
 

@@ -93,15 +93,19 @@ class DWFCore:
 
     def __init__(self, config: GPUConfig, machine: MachineState,
                  dram: DRAM, *, entry_pc: int, num_regs: int,
-                 num_threads: int, divergence_window: int = 1000):
+                 num_threads: int, shared_mem: BankedMemory,
+                 divergence_window: int = 1000):
         if num_threads <= 0:
             raise ConfigError("DWF core needs at least one thread")
         self.config = config
         self.machine = machine
         self.dram = dram
+        # No spawn hardware: spawn-space accesses go to shared memory, as
+        # on an SM without it.
         self.warp = Warp(warp_id=0, warp_size=num_threads, num_regs=num_regs,
                          tids=np.arange(num_threads, dtype=np.int64),
-                         active_at_launch=np.ones(num_threads, dtype=bool))
+                         active_at_launch=np.ones(num_threads, dtype=bool),
+                         shared_mem=shared_mem, spawn_mem=shared_mem)
         self.pcs = np.full(num_threads, entry_pc, dtype=np.int64)
         self.ready_at = np.zeros(num_threads, dtype=np.int64)
         self.live = num_threads
@@ -225,7 +229,6 @@ def run_dwf(config: GPUConfig, program, entry_kernel: str,
     machine = MachineState(
         program=program, global_mem=global_mem,
         const_mem=np.asarray(const_mem, dtype=np.float64),
-        shared_mem=shared, spawn_mem=shared,
         reconv_table=reconvergence_table(program))
     machine.snapshot = snapshot
     dram = DRAM(config.memory)
@@ -233,7 +236,7 @@ def run_dwf(config: GPUConfig, program, entry_kernel: str,
     num_regs = program.max_register_index() + 1
     core = DWFCore(config, machine, dram, entry_pc=entry_pc,
                    num_regs=num_regs, num_threads=num_threads,
-                   divergence_window=divergence_window)
+                   shared_mem=shared, divergence_window=divergence_window)
     budget = max_cycles if max_cycles is not None else config.max_cycles
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         cycle = run_core(core, 0, budget)

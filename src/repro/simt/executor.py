@@ -13,7 +13,12 @@ time a PC is executed the instruction is *compiled* into a closure (a
 guard predicate, and reconvergence metadata. Plans are cached on the
 :class:`MachineState` (indexed by PC, looked up through
 :meth:`MachineState.plan_at`) so the per-issue cost is just the closure
-call plus the numpy work itself. Immediate operands are served
+call plus the numpy work itself. A GPU builds one machine state and hands
+it to every SM, so each PC is compiled once per launch however many SMs
+run it. A plan therefore captures nothing of one SM: on-chip ``ld``/``st``
+plans reach the issuing SM's shared and spawn memory through the warp
+(:attr:`Warp.shared_mem`, :attr:`Warp.spawn_mem`), bound once when the SM
+admits it. Immediate operands are served
 from a process-wide read-only array cache keyed by (type, value, width) —
 warp widths vary between machines: the SM's warps are ``warp_size`` lanes
 wide, DWF's single lane view (:mod:`repro.simt.dwf`) one lane per thread.
@@ -62,7 +67,6 @@ class IssueResult:
     active: int
     addresses: np.ndarray | None = None
     is_store: bool = False
-    space: str | None = None
     conflict_penalty: int = 0
     spawn: SpawnRequest | None = None
     completions: int = 0
@@ -81,17 +85,18 @@ class IssueResult:
 
 
 class MachineState:
-    """Functional state an executor needs: memories + program metadata.
+    """What every core of one machine shares: the program, global and
+    constant memory, the reconvergence table, the per-PC compiled plan
+    cache (see module docstring) and the snapshot hook.
 
-    Also owns the per-PC compiled plan cache (see module docstring)."""
+    A :class:`~repro.simt.gpu.GPU` builds one and hands it to all of its
+    SMs; a DWF run builds one for its core. On-chip memories belong to
+    each core and are not held here: a warp carries its core's."""
 
-    def __init__(self, program, global_mem, const_mem, shared_mem, spawn_mem,
-                 reconv_table):
+    def __init__(self, program, global_mem, const_mem, reconv_table):
         self.program = program
         self.global_mem = global_mem
         self.const_mem = const_mem
-        self.shared_mem = shared_mem
-        self.spawn_mem = spawn_mem
         self.reconv_table = reconv_table
         self.plans: list = [None] * len(program)
         self.snapshot = None
@@ -299,7 +304,6 @@ def execute(warp: Warp, machine: MachineState) -> IssueResult:
     plan = machine.plan_at(pc)
     if warp.status == FINISHED or top.count == 0:
         raise ExecutionError("issued a warp with no active lanes", pc=pc)
-    warp.issued_instructions += 1
     # Batched per-lane commit accounting: consecutive issues under the
     # same mask object fold into one count (see Warp.lane_commits).
     mask = top.mask
@@ -667,7 +671,7 @@ def _compile_memory(inst: Instruction, machine: MachineState):
             warp.stack.advance(next_pc)
             return IssueResult(kind=OFFCHIP, active=top.count,
                                addresses=all_addresses, is_store=is_store,
-                               space=space, completions=completions)
+                               completions=completions)
         return plan
 
     if space == "const":
@@ -686,11 +690,12 @@ def _compile_memory(inst: Instruction, machine: MachineState):
             # reads an on-chip broadcast: low latency, no DRAM traffic.
             return IssueResult(kind=ONCHIP, active=top.count,
                                addresses=all_addresses, is_store=False,
-                               space=space, conflict_penalty=0,
                                onchip_words=int(all_addresses.size))
         return plan
 
-    onchip = machine.shared_mem if space == "shared" else machine.spawn_mem
+    # On-chip memory is the issuing core's own, so the plan finds it on the
+    # warp rather than capturing one core's memory.
+    is_shared = space == "shared"
 
     def plan(warp: Warp, top) -> IssueResult:
         lanes, n = active_lanes(warp, top)
@@ -698,6 +703,7 @@ def _compile_memory(inst: Instruction, machine: MachineState):
             warp.stack.advance(next_pc)
             return _ALU_RESULTS[top.count]
         all_addresses = gather_addresses(warp, lanes)
+        onchip = warp.shared_mem if is_shared else warp.spawn_mem
         if is_store:
             penalty = onchip.write(all_addresses,
                                    store_values(warp, lanes, n))
@@ -707,7 +713,7 @@ def _compile_memory(inst: Instruction, machine: MachineState):
         warp.stack.advance(next_pc)
         return IssueResult(kind=ONCHIP, active=top.count,
                            addresses=all_addresses, is_store=is_store,
-                           space=space, conflict_penalty=penalty,
+                           conflict_penalty=penalty,
                            onchip_words=int(all_addresses.size))
     return plan
 
@@ -757,6 +763,6 @@ def _compile_atomic(inst: Instruction, machine: MachineState):
         penalty = ATOMIC_SERIALIZATION_CYCLES * (int(lanes.size) - 1)
         warp.stack.advance(next_pc)
         return IssueResult(kind=OFFCHIP, active=top.count,
-                           addresses=addresses, is_store=True, space="global",
+                           addresses=addresses, is_store=True,
                            conflict_penalty=penalty)
     return plan

@@ -1,10 +1,12 @@
 """Top-level GPU: SM array, shared memory partition, run loop.
 
-The GPU wires together the per-SM machinery, distributes launch-time thread
-blocks round-robin across SMs (as the paper's hardware does), and advances
-all SMs cycle by cycle until every thread — including dynamically spawned
-ones — has retired, or until ``config.max_cycles`` (the paper simulates the
-first 300k cycles only).
+The GPU builds one :class:`~repro.simt.executor.MachineState` (program,
+global and constant memory, compiled plans) that every SM shares, gives
+each SM its own on-chip memories and spawn unit, distributes launch-time
+thread blocks round-robin across SMs (as the paper's hardware does), and
+advances all SMs cycle by cycle until every thread — including dynamically
+spawned ones — has retired, or until ``config.max_cycles`` (the paper
+simulates the first 300k cycles only).
 """
 
 from __future__ import annotations
@@ -235,9 +237,25 @@ class GPU:
             trace.configure(config)
             self.dram.probe = trace
         self.program = launch.program
-        self._reconv = reconvergence_table(self.program)
-        window = divergence_window or max(1, config.max_cycles // 100)
-        self.sms = [self._build_sm(sm_id, window)
+        #: The one :class:`MachineState` every SM shares: each PC of the
+        #: launch is compiled once, however many SMs run it.
+        self.machine = MachineState(
+            program=self.program, global_mem=global_mem,
+            const_mem=self.const_mem,
+            reconv_table=reconvergence_table(self.program))
+        max_warps, warps_per_block, max_blocks = self._occupancy()
+        if max_warps <= 0:
+            raise ConfigError("kernel register requirements allow zero warps")
+        layout = self._spawn_layout(max_warps)
+        shape = dict(
+            entry_pc=launch.entry_pc,
+            num_regs=max(self.program.max_register_index() + 1,
+                         launch.registers_per_thread),
+            max_warps=max_warps, warps_per_block=warps_per_block,
+            max_blocks=max_blocks,
+            divergence_window=(divergence_window
+                               or max(1, config.max_cycles // 100)))
+        self.sms = [self._build_sm(sm_id, layout, shape)
                     for sm_id in range(config.num_sms)]
         self._distribute_blocks()
         self.cycle = 0
@@ -299,19 +317,16 @@ class GPU:
             "total_bytes": total_bytes,
         }
 
-    def _build_sm(self, sm_id: int, divergence_window: int) -> SM:
+    def _build_sm(self, sm_id: int, layout: dict | None, shape: dict) -> SM:
+        """One SM on the shared machine state, with its own on-chip
+        memories, spawn unit and probe; ``shape`` holds the SM arguments
+        every SM of the launch has in common."""
         config = self.config
-        launch = self.launch
-        max_warps, warps_per_block, max_blocks = self._occupancy()
-        if max_warps <= 0:
-            raise ConfigError("kernel register requirements allow zero warps")
-        layout = self._spawn_layout(max_warps)
         shared_words = config.onchip_memory_bytes // BYTES_PER_WORD
         shared_mem = BankedMemory(max(shared_words, 1),
                                   num_banks=config.spawn.num_banks,
                                   model_conflicts=False)
         spawn_unit = None
-        spawn_mem = shared_mem
         if layout is not None:
             spawn_words = layout["data_words"] + layout["formation_words"]
             spawn_mem = BankedMemory(
@@ -324,18 +339,10 @@ class GPU:
                 formation_base=layout["data_words"],
                 formation_words=layout["formation_words"],
                 kernels=layout["spawn_kernels"])
-        machine = MachineState(
-            program=self.program, global_mem=self.global_mem,
-            const_mem=self.const_mem, shared_mem=shared_mem,
-            spawn_mem=spawn_mem, reconv_table=self._reconv)
-        num_regs = max(self.program.max_register_index() + 1,
-                       launch.registers_per_thread)
         probe = None if self.trace is None else self.trace.sm_probe(sm_id)
-        return SM(sm_id, config, machine, self.dram,
-                  entry_pc=launch.entry_pc, num_regs=num_regs,
-                  max_warps=max_warps, warps_per_block=warps_per_block,
-                  max_blocks=max_blocks, spawn_unit=spawn_unit,
-                  divergence_window=divergence_window, probe=probe)
+        return SM(sm_id, config, self.machine, self.dram,
+                  shared_mem=shared_mem, spawn_unit=spawn_unit, probe=probe,
+                  **shape)
 
     def _distribute_blocks(self) -> None:
         """Round-robin launch blocks (contiguous thread ids) over SMs."""

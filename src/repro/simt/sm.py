@@ -38,6 +38,7 @@ from repro.obs.constants import (
     WAIT_DRAM,
     WAIT_PIPE,
 )
+from repro.simt.banked import BankedMemory
 from repro.simt.executor import (
     BARRIER,
     OFFCHIP,
@@ -73,12 +74,17 @@ class LaunchBlock:
 
 
 class SM:
-    """One streaming multiprocessor."""
+    """One streaming multiprocessor.
+
+    ``machine`` is the :class:`MachineState` every SM of the GPU shares.
+    The on-chip memories are this SM's own: ``shared_mem``, and the spawn
+    unit's spawn memory (``shared_mem`` again without spawn hardware).
+    Each admitted warp is bound to both."""
 
     def __init__(self, sm_id: int, config: GPUConfig, machine: MachineState,
                  dram, *, entry_pc: int, num_regs: int, max_warps: int,
                  warps_per_block: int, max_blocks: int,
-                 spawn_unit: SpawnUnit | None,
+                 shared_mem: BankedMemory, spawn_unit: SpawnUnit | None,
                  divergence_window: int = 1000, probe=None):
         if max_warps <= 0:
             raise SchedulingError("SM has zero warp slots; kernel resources "
@@ -86,6 +92,9 @@ class SM:
         self.sm_id = sm_id
         self.config = config
         self.machine = machine
+        self.shared_mem = shared_mem
+        self.spawn_mem = (shared_mem if spawn_unit is None
+                          else spawn_unit.spawn_mem)
         self.dram = dram
         self.entry_pc = entry_pc
         self.num_regs = num_regs
@@ -145,7 +154,9 @@ class SM:
                     count: int = -1) -> Warp:
         warp = Warp.launch(self._next_warp_id, self.config.warp_size,
                            self.num_regs, entry_pc, tids, active,
-                           is_dynamic=is_dynamic, kernel_name=kernel_name)
+                           is_dynamic=is_dynamic, kernel_name=kernel_name,
+                           shared_mem=self.shared_mem,
+                           spawn_mem=self.spawn_mem)
         self._next_warp_id += 1
         lanes = np.nonzero(active)[0]
         if spawn_addr is not None:

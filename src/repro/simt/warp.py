@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.simt.stack import ReconvergenceStack
+
+if TYPE_CHECKING:
+    from repro.simt.banked import BankedMemory
 
 #: Number of predicate registers per lane.
 NUM_PREDICATES = 8
@@ -26,6 +30,8 @@ class Warp:
     ``tids`` holds each lane's logical thread id (the ray index for
     launch-time threads; reassigned for dynamically spawned threads).
     ``spawn_addr`` models the paper's ``spawnMemAddr`` special register.
+    The SIMT stack starts with one entry at ``entry_pc`` holding the
+    launch mask.
     """
 
     warp_id: int
@@ -57,12 +63,19 @@ class Warp:
     scheduler never reads it."""
     is_dynamic: bool = False
     kernel_name: str = ""
-    issued_instructions: int = 0
     formation_region: int = -1
     """Spawn-memory warp-formation region owned by this (dynamic) warp;
     released back to the spawn unit when the warp retires."""
+    shared_mem: BankedMemory | None = field(default=None, repr=False)
+    spawn_mem: BankedMemory | None = field(default=None, repr=False)
+    """The issuing core's on-chip shared and spawn memories, bound when
+    the core admits the warp. On-chip ``ld``/``st`` plans are shared by
+    every SM, so they read the memory from here. The warp holds the
+    memories, never the core, so no reference cycle keeps a finished
+    machine alive."""
+    entry_pc: InitVar[int] = 0
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, entry_pc: int) -> None:
         self.tids = np.asarray(self.tids, dtype=np.int64)
         self.active_at_launch = np.asarray(self.active_at_launch, dtype=bool)
         if self.tids.shape != (self.warp_size,):
@@ -75,18 +88,19 @@ class Warp:
         self.spawned_flag = np.zeros(self.warp_size, dtype=bool)
         self.data_slot_addr = np.full(self.warp_size, -1, dtype=np.int64)
         self._lane_commits = np.zeros(self.warp_size, dtype=np.int64)
-        self.stack = ReconvergenceStack.initial(0, self.active_at_launch)
+        self.stack = ReconvergenceStack.initial(entry_pc,
+                                                self.active_at_launch)
 
     @staticmethod
     def launch(warp_id: int, warp_size: int, num_regs: int, entry_pc: int,
                tids: np.ndarray, active: np.ndarray,
-               is_dynamic: bool = False, kernel_name: str = "") -> "Warp":
-        warp = Warp(warp_id=warp_id, warp_size=warp_size, num_regs=num_regs,
-                    tids=tids, active_at_launch=active)
-        warp.stack = ReconvergenceStack.initial(entry_pc, warp.active_at_launch)
-        warp.is_dynamic = is_dynamic
-        warp.kernel_name = kernel_name
-        return warp
+               is_dynamic: bool = False, kernel_name: str = "",
+               shared_mem: BankedMemory | None = None,
+               spawn_mem: BankedMemory | None = None) -> Warp:
+        return Warp(warp_id=warp_id, warp_size=warp_size, num_regs=num_regs,
+                    tids=tids, active_at_launch=active, entry_pc=entry_pc,
+                    is_dynamic=is_dynamic, kernel_name=kernel_name,
+                    shared_mem=shared_mem, spawn_mem=spawn_mem)
 
     @property
     def pc(self) -> int:

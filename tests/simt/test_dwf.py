@@ -38,12 +38,10 @@ def make_core(program, mem, num_threads):
     config = scaled_config(1)
     machine = MachineState(program=program, global_mem=mem,
                            const_mem=np.zeros(1),
-                           shared_mem=BankedMemory(64),
-                           spawn_mem=BankedMemory(64),
                            reconv_table=reconvergence_table(program))
     return DWFCore(config, machine, DRAM(config.memory), entry_pc=0,
                    num_regs=program.max_register_index() + 1,
-                   num_threads=num_threads)
+                   num_threads=num_threads, shared_mem=BankedMemory(64))
 
 
 def run_loop(num_threads=64, **overrides):

@@ -22,8 +22,6 @@ def machine_for(source: str, mem_words: int = 256,
         program=program,
         global_mem=GlobalMemory(mem_words),
         const_mem=np.asarray(const if const is not None else np.arange(32.0)),
-        shared_mem=BankedMemory(128, model_conflicts=False),
-        spawn_mem=BankedMemory(256, model_conflicts=False),
         reconv_table=reconvergence_table(program),
     )
 
@@ -31,7 +29,9 @@ def machine_for(source: str, mem_words: int = 256,
 def fresh_warp(machine: MachineState, entry="main", active=None) -> Warp:
     active = np.ones(WARP, dtype=bool) if active is None else active
     return Warp.launch(0, WARP, 48, machine.program.kernels[entry].entry_pc,
-                       np.arange(WARP), active)
+                       np.arange(WARP), active,
+                       shared_mem=BankedMemory(128, model_conflicts=False),
+                       spawn_mem=BankedMemory(256, model_conflicts=False))
 
 
 def run_to_completion(machine: MachineState, warp: Warp, limit=10_000):

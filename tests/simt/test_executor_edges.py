@@ -17,15 +17,16 @@ def machine_for(source: str) -> MachineState:
     program = assemble(source)
     return MachineState(
         program=program, global_mem=GlobalMemory(256),
-        const_mem=np.arange(32.0), shared_mem=BankedMemory(256),
-        spawn_mem=BankedMemory(256),
+        const_mem=np.arange(32.0),
         reconv_table=reconvergence_table(program))
 
 
 def run_warp(source: str, limit=1000) -> tuple[Warp, MachineState]:
     machine = machine_for(source)
     warp = Warp.launch(0, WARP, 48, 0, np.arange(WARP),
-                       np.ones(WARP, dtype=bool))
+                       np.ones(WARP, dtype=bool),
+                       shared_mem=BankedMemory(256),
+                       spawn_mem=BankedMemory(256))
     steps = 0
     with np.errstate(invalid="ignore", divide="ignore"):
         while not warp.done and steps < limit:
@@ -69,7 +70,7 @@ main:
             assert np.all(warp.regs[8 + j] == j + 1)
 
     def test_guarded_vector_store_partial(self):
-        warp, machine = run_warp("""
+        warp, _ = run_warp("""
 .kernel main regs=48
 main:
     mov r1, SREG.tid;
@@ -80,7 +81,7 @@ main:
     @p0 st.shared.v2 [r1+0], r4;
     exit;
 """)
-        shared = machine.shared_mem.words
+        shared = warp.shared_mem.words
         assert shared[:4].tolist() == [7, 8, 7, 8]
         assert np.all(shared[4:16] == 0)
 
@@ -126,7 +127,7 @@ main:
     nop;
     exit;
 """)
-        assert warp.issued_instructions == 3
+        assert warp.lane_commits.tolist() == [3] * WARP
 
     def test_setp_guarded_updates_subset(self):
         warp, _ = run_warp("""

@@ -1,15 +1,24 @@
 """SM + GPU integration tests: scheduling models, occupancy, end-to-end."""
 
+import dataclasses
 import gc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.config import scaled_config
 from repro.errors import ConfigError, SchedulingError
+from repro.harness.presets import get_preset
+from repro.harness.runner import (
+    config_for_mode,
+    image_for_workload,
+    launch_for_workload,
+    prepare_workload,
+)
 from repro.isa import assemble
-from repro.simt import GPU, GlobalMemory, LaunchSpec
+from repro.simt import GPU, GlobalMemory, LaunchSpec, executor
 
 LOOP_KERNEL = """
 .kernel main regs=8
@@ -66,8 +75,9 @@ def run_loop_kernel(num_threads=64, scheduling="warp", num_sms=1,
     trips = np.arange(1, num_threads + 1) if trips is None else trips
     mem.load_array(0, trips.astype(float))
     mem.set_result_range(128, num_threads, stride=1)
+    config_overrides.setdefault("max_cycles", 500_000)
     config = scaled_config(num_sms, scheduling=scheduling,
-                           max_cycles=500_000, **config_overrides)
+                           **config_overrides)
     launch = LaunchSpec(program=program, entry_kernel="main",
                         num_threads=num_threads, registers_per_thread=8,
                         block_size=64)
@@ -144,14 +154,14 @@ class TestSchedulingModels:
 
 
 class TestSpawnExecution:
-    def run_spawn(self, num_threads=64, **overrides):
+    def run_spawn(self, num_threads=64, num_sms=1, **overrides):
         program = assemble(SPAWN_KERNEL)
         mem = GlobalMemory(512)
         trips = np.arange(1, num_threads + 1)
         mem.load_array(0, trips.astype(float))
         mem.set_result_range(128, num_threads, stride=1)
         overrides.setdefault("max_cycles", 1_000_000)
-        config = scaled_config(1, spawn_enabled=True, **overrides)
+        config = scaled_config(num_sms, spawn_enabled=True, **overrides)
         launch = LaunchSpec(program=program, entry_kernel="K0",
                             num_threads=num_threads, registers_per_thread=8,
                             block_size=32, state_words=4)
@@ -233,22 +243,100 @@ class TestRunStats:
         assert stats.dram_transactions > 0
 
 
+#: Each 64-thread block stores its block number + 1 at the same 64
+#: shared-memory addresses, then reads them back into global memory.
+SHARED_KERNEL = """
+.kernel main regs=8
+main:
+    mov r0, SREG.tid;
+    div r1, r0, 64;
+    floor r1, r1;
+    add r1, r1, 1;
+    rem r2, r0, 64;
+    st.shared [r2+0], r1;
+    ld.shared r3, [r2+0];
+    st.global [r0+0], r3;
+    exit;
+"""
+
+
+class TestSharedMachine:
+    """One MachineState per GPU: every SM runs the same compiled plans,
+    each on its own on-chip memory."""
+
+    def test_every_sm_holds_the_one_machine(self):
+        gpu, _, _, _ = run_loop_kernel(num_threads=256, num_sms=4)
+        assert {id(sm.machine) for sm in gpu.sms} == {id(gpu.machine)}
+        assert len({id(sm.shared_mem) for sm in gpu.sms}) == 4
+
+    @pytest.mark.parametrize("mode", ("pdom_block", "spawn"))
+    def test_thirty_sms_compile_each_pc_at_most_once(self, mode,
+                                                     monkeypatch):
+        """The paper's 30 SMs on the ray-tracing kernels, one 64-thread
+        block per SM."""
+        compiled = Counter()
+        compile_plan = executor._compile
+
+        def counting(inst, machine):
+            compiled[inst.pc] += 1
+            return compile_plan(inst, machine)
+
+        monkeypatch.setattr(executor, "_compile", counting)
+        preset = dataclasses.replace(
+            get_preset("tiny"), name="tiny-30sm", num_sms=30,
+            image_width=48, image_height=40)
+        workload = prepare_workload("conference", preset)
+        image = image_for_workload(workload)
+        gpu = GPU(config_for_mode(mode, preset),
+                  launch_for_workload(mode, workload), image.global_mem,
+                  image.const_mem)
+        gpu.run(max_cycles=20_000)
+        assert all(sm.stats.issued_instructions for sm in gpu.sms)
+        assert compiled and max(compiled.values()) == 1
+        assert sorted(compiled) == [pc for pc, plan
+                                    in enumerate(gpu.machine.plans)
+                                    if plan is not None]
+
+    def test_onchip_plans_use_the_issuing_sms_memory(self):
+        """Both SMs store to the same shared addresses in lockstep, so a
+        plan bound to one SM's memory would hand SM 0 the value SM 1
+        stored."""
+        mem = GlobalMemory(128)
+        launch = LaunchSpec(program=assemble(SHARED_KERNEL),
+                            entry_kernel="main", num_threads=128,
+                            registers_per_thread=8, block_size=64)
+        gpu = GPU(scaled_config(2, scheduling="block"), launch, mem)
+        gpu.run()
+        assert mem.words[:64].tolist() == [1.0] * 64
+        assert mem.words[64:].tolist() == [2.0] * 64
+        for sm, value in zip(gpu.sms, (1.0, 2.0)):
+            assert sm.shared_mem.words[:64].tolist() == [value] * 64
+
+
 class TestLifetime:
     @pytest.mark.parametrize("spawn", (False, True))
     def test_dropped_gpu_frees_its_machine_without_the_cycle_collector(
             self, spawn):
-        """Compiled plans hold the memories they touch, not the
-        MachineState that caches them, so a finished machine's memories
-        and warps go as soon as the GPU is dropped."""
+        """Compiled plans hold the global and constant memory they touch,
+        not the MachineState that caches them, and a warp holds its SM's
+        on-chip memories, not the SM. Nothing forms a reference cycle, so
+        a machine, one SM or four sharing one MachineState, goes with its
+        SMs' memories as soon as the GPU is dropped: after the run, or
+        cut off by the cycle cap with warps still resident."""
+        run = TestSpawnExecution().run_spawn if spawn else run_loop_kernel
         gc.disable()
         try:
-            if spawn:
-                gpu, _, _, _ = TestSpawnExecution().run_spawn()
-            else:
-                gpu, _, _, _ = run_loop_kernel()
-            machine = weakref.ref(gpu.sms[0].machine)
-            assert any(plan is not None for plan in machine().plans)
-            del gpu
-            assert machine() is None
+            for num_sms, max_cycles in ((1, None), (4, None), (4, 2_000)):
+                gpu, _, _, _ = run(
+                    num_threads=64 * num_sms, num_sms=num_sms,
+                    max_cycles=max_cycles or 1_000_000)
+                case = f"{num_sms} SMs, cap {max_cycles}"
+                assert bool(max_cycles) == any(sm.warps for sm in gpu.sms)
+                machine = weakref.ref(gpu.machine)
+                onchip = [weakref.ref(sm.spawn_mem) for sm in gpu.sms]
+                assert any(plan is not None for plan in machine().plans)
+                del gpu
+                assert machine() is None, case
+                assert all(memory() is None for memory in onchip), case
         finally:
             gc.enable()
