@@ -10,16 +10,19 @@ entirely, with a small in-process LRU in front of the disk.
 Cache key schema (see :meth:`WorkloadCache.key`)::
 
     salt | scene | ray_kind | seed | detail | kd_max_depth,kd_leaf_size
-         | image_width x image_height   ->  sha256 hex, first 16 chars
+         | image_width x image_height
+         [| path=path_max_depth,path_roulette_q]   (ray_kind "path" only)
+         ->  sha256 hex, first 16 chars
 
 Only geometry-affecting preset fields participate: presets that differ
 merely in simulation budget (``num_sms``, ``max_cycles``,
 ``divergence_window``) share entries. ``CACHE_SALT`` is the invalidation
 salt — bump it whenever scene generation, kd-tree construction, camera,
-ray generation, or the reference tracer change behaviour. The salt is both
-part of the key hash (stale entries are simply never looked up) and stored
-inside each file (a tampered or hand-copied entry with the wrong salt is
-detected, deleted, and rebuilt rather than served).
+ray generation, or the reference tracer change their output; a speedup
+that keeps every output bit keeps it. The salt is both part of the key
+hash (stale entries are simply never looked up) and stored inside each
+file (a tampered or hand-copied entry with the wrong salt is detected,
+deleted, and rebuilt rather than served).
 
 Corrupt entries (truncated files, missing arrays, unreadable zip) are
 likewise deleted and rebuilt — the cache never raises for a bad entry.
@@ -45,7 +48,9 @@ from repro.rt.geometry import AABB, Triangle
 from repro.rt.kdtree import KDTree, KDTreeStats
 from repro.rt.trace import TraceCounters, TraceResult
 
-#: Invalidation salt: bump on any change to workload-producing code.
+#: Invalidation salt: bump when workload-producing code changes its output.
+#: A speedup that the reference-build golden
+#: (``tests/rt/test_reference_golden.py``) pins bit-identical keeps it.
 CACHE_SALT = "workload-v2"
 
 #: Arrays every ray-batch cache entry must contain (besides metadata).

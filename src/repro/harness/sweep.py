@@ -52,7 +52,6 @@ import sys
 import tempfile
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -658,6 +657,10 @@ def warm_workloads(scenes: Iterable, preset_name: str,
         for spec in specs:
             _warm_one(spec)
         return len(specs)
+    # Imported here, its only use: every simulating process imports this
+    # module, and the pool would bring in multiprocessing with it.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         list(pool.map(_warm_one, specs))
     return len(specs)

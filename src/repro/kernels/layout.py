@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SceneError
-from repro.rt.geometry import WALD_TRIANGLE_WORDS, triangles_to_wald_array
+from repro.rt.geometry import WALD_TRIANGLE_WORDS
 from repro.rt.kdtree import KDTree, NODE_WORDS
 from repro.simt.memory import GlobalMemory
 
@@ -93,7 +93,7 @@ def build_memory_image(tree: KDTree, origins: np.ndarray,
                              (num_rays,)).copy()
 
     nodes = tree.nodes
-    wald = triangles_to_wald_array(tree.triangles)
+    wald = tree.wald
     leaf_indices = tree.leaf_indices.astype(np.float64)
 
     node_base = 0

@@ -9,6 +9,7 @@ Table II reports for spawn memory is the same 48 bytes by design).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,7 @@ class AABB:
 
     @property
     def surface_area(self) -> float:
-        e = np.maximum(self.extent, 0.0)
-        return float(2.0 * (e[0] * e[1] + e[1] * e[2] + e[2] * e[0]))
+        return box_surface_area(self.lo.tolist(), self.hi.tolist())
 
     @property
     def is_empty(self) -> bool:
@@ -64,31 +64,66 @@ class AABB:
 
     def split(self, axis: int, position: float) -> tuple["AABB", "AABB"]:
         """Cut along ``axis`` at ``position``; returns (left, right)."""
-        if not self.lo[axis] <= position <= self.hi[axis]:
-            raise SceneError(
-                f"split position {position} outside box on axis {axis}")
-        left_hi = self.hi.copy()
-        left_hi[axis] = position
-        right_lo = self.lo.copy()
-        right_lo[axis] = position
-        return AABB(self.lo.copy(), left_hi), AABB(right_lo, self.hi.copy())
+        left, right = box_split(self.lo.tolist(), self.hi.tolist(), axis,
+                                position)
+        return (AABB(np.array(left[0]), np.array(left[1])),
+                AABB(np.array(right[0]), np.array(right[1])))
 
-    def ray_range(self, origin: np.ndarray, direction: np.ndarray
-                  ) -> tuple[float, float]:
+    def ray_range(self, origin, direction) -> tuple[float, float]:
         """Parametric [t_enter, t_exit] of the ray inside the box.
 
+        ``origin`` and ``direction`` are 3-vectors, read as floats.
         Returns ``t_enter > t_exit`` when the ray misses. Zero direction
-        components are handled with IEEE infinities (slab method).
+        components are handled with IEEE infinities (slab method):
+        ``-0.0`` gives ``-inf``, and a NaN slab bound (``0 * inf``: the
+        origin on a slab plane) becomes the infinity that leaves the slab
+        open. Each pick keeps numpy's rule, so the result is bit-identical
+        to the array form ``max(minimum(t0, t1))``,
+        ``min(maximum(t0, t1))``, signed zeros included:
+        ``np.minimum``/``np.maximum`` return their second operand on a tie,
+        and the reductions fold the axes in order.
         """
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / np.asarray(direction, dtype=np.float64)
-            t0 = (self.lo - origin) * inv
-            t1 = (self.hi - origin) * inv
-        t0 = np.where(np.isnan(t0), -np.inf, t0)
-        t1 = np.where(np.isnan(t1), np.inf, t1)
-        t_enter = float(np.max(np.minimum(t0, t1)))
-        t_exit = float(np.min(np.maximum(t0, t1)))
+        t_enter, t_exit = -math.inf, math.inf
+        for lo, hi, o, d in zip(self.lo.tolist(), self.hi.tolist(),
+                                map(float, origin), map(float, direction)):
+            inv = reciprocal(d)
+            t0 = (lo - o) * inv
+            t1 = (hi - o) * inv
+            if t0 != t0:
+                t0 = -math.inf
+            if t1 != t1:
+                t1 = math.inf
+            near = t0 if t0 < t1 else t1
+            far = t0 if t0 > t1 else t1
+            t_enter = t_enter if t_enter > near else near
+            t_exit = t_exit if t_exit < far else far
         return max(t_enter, 0.0), t_exit
+
+
+def reciprocal(d: float) -> float:
+    """``1.0 / d`` with numpy's IEEE result on zero: ``+-inf`` by the sign
+    of the zero (Python raises instead)."""
+    return 1.0 / d if d else math.copysign(math.inf, d)
+
+
+def box_surface_area(lo, hi) -> float:
+    """Surface area of the box ``[lo, hi]`` (3-float sequences); negative
+    extents count as zero."""
+    e0, e1, e2 = (0.0 if h - l <= 0.0 else h - l for l, h in zip(lo, hi))
+    return 2.0 * (e0 * e1 + e1 * e2 + e2 * e0)
+
+
+def box_split(lo, hi, axis: int, position: float):
+    """Cut the box ``[lo, hi]`` along ``axis`` at ``position``; returns
+    ``((lo, left_hi), (right_lo, hi))`` as float lists."""
+    if not lo[axis] <= position <= hi[axis]:
+        raise SceneError(
+            f"split position {position} outside box on axis {axis}")
+    left_hi = list(hi)
+    left_hi[axis] = position
+    right_lo = list(lo)
+    right_lo[axis] = position
+    return (list(lo), left_hi), (right_lo, list(hi))
 
 
 @dataclass(frozen=True)
@@ -132,27 +167,34 @@ class WaldTriangle:
 
     @staticmethod
     def precompute(tri: Triangle) -> "WaldTriangle":
-        normal = tri.normal
-        if dot(normal, normal) == 0.0:
+        """Wald's record for ``tri``, computed on plain floats.
+
+        Bit-identical to the numpy formulation: the normal is
+        :attr:`Triangle.normal`'s ``np.cross`` term for term, the dot
+        products sum in :func:`repro.rt.vecmath.dot`'s order, and the
+        dominant axis is ``np.argmax``'s first maximum.
+        """
+        a, b, c = tri.a.tolist(), tri.b.tolist(), tri.c.tolist()
+        # Edge vectors: c_vec = B - A carries beta, b_vec = C - A carries gamma.
+        b_vec = [q - p for p, q in zip(a, c)]
+        c_vec = [q - p for p, q in zip(a, b)]
+        normal = _cross(c_vec, b_vec)
+        if _dot(normal, normal) == 0.0:
             raise SceneError("cannot precompute a degenerate triangle")
-        k = int(np.argmax(np.abs(normal)))
+        magnitudes = [abs(x) for x in normal]
+        k = magnitudes.index(max(magnitudes))
         u, v = _AXES[k]
         n_k = normal[k]
-        n_u = normal[u] / n_k
-        n_v = normal[v] / n_k
-        n_d = dot(tri.a, normal) / n_k
-        # Edge vectors: c_vec = B - A carries beta, b_vec = C - A carries gamma.
-        b_vec = tri.c - tri.a
-        c_vec = tri.b - tri.a
         det = c_vec[u] * b_vec[v] - c_vec[v] * b_vec[u]
         if det == 0.0:
             raise SceneError("triangle projects to a degenerate 2D triangle")
         return WaldTriangle(
             k=k,
-            n_u=float(n_u), n_v=float(n_v), n_d=float(n_d),
-            a_u=float(tri.a[u]), a_v=float(tri.a[v]),
-            b_nu=float(b_vec[v] / det), b_nv=float(-b_vec[u] / det),
-            c_nu=float(-c_vec[v] / det), c_nv=float(c_vec[u] / det),
+            n_u=normal[u] / n_k, n_v=normal[v] / n_k,
+            n_d=_dot(a, normal) / n_k,
+            a_u=a[u], a_v=a[v],
+            b_nu=b_vec[v] / det, b_nv=-b_vec[u] / det,
+            c_nu=-c_vec[v] / det, c_nv=c_vec[u] / det,
         )
 
     def intersect(self, origin: np.ndarray, direction: np.ndarray,
@@ -188,6 +230,20 @@ class WaldTriangle:
                             n_d=words[3], a_u=words[4], a_v=words[5],
                             b_nu=words[6], b_nv=words[7],
                             c_nu=words[8], c_nv=words[9])
+
+
+def _cross(a, b) -> list[float]:
+    """``np.cross`` of two 3-float sequences, term for term."""
+    return [a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0]]
+
+
+def _dot(a, b) -> float:
+    """:func:`repro.rt.vecmath.dot` of two 3-float sequences, bit for bit:
+    numpy's sum adds left to right from ``+0.0``, so an all-``-0.0`` sum
+    is ``+0.0``."""
+    return 0.0 + a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def triangles_to_wald_array(triangles: list[Triangle]) -> np.ndarray:

@@ -21,11 +21,18 @@ word        inner node              leaf node
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.errors import SceneError
-from repro.rt.geometry import AABB, Triangle
+from repro.rt.geometry import (
+    AABB,
+    Triangle,
+    box_split,
+    box_surface_area,
+    triangles_to_wald_array,
+)
 
 #: Marker stored in word 0 of leaf nodes.
 LEAF_AXIS = 3
@@ -38,7 +45,6 @@ NODE_WORDS = 4
 class KDNode:
     """Build-time node; exactly one of (children, triangle_indices) is set."""
 
-    bounds: AABB
     axis: int = LEAF_AXIS
     split: float = 0.0
     left: "KDNode | None" = None
@@ -86,6 +92,17 @@ class KDTree:
     def num_nodes(self) -> int:
         return self.nodes.shape[0]
 
+    @cached_property
+    def wald(self) -> np.ndarray:
+        """The triangles' Wald records, ``(num_triangles, 12)``.
+
+        Built on first use and shared, read-only, by the reference tracers
+        and every memory image of this tree.
+        """
+        wald = triangles_to_wald_array(self.triangles)
+        wald.flags.writeable = False
+        return wald
+
     def stats(self) -> KDTreeStats:
         if self.root is None:
             if self.precomputed_stats is None:
@@ -127,39 +144,62 @@ class KDTree:
         )
 
 
-def _median_split(bounds: AABB, tri_bounds: list[AABB], indices: list[int]
-                  ) -> tuple[int, float] | None:
-    axis = int(np.argmax(bounds.extent))
-    centers = np.array([(tri_bounds[i].lo[axis] + tri_bounds[i].hi[axis]) * 0.5
-                        for i in indices])
-    split = float(np.median(centers))
-    if not bounds.lo[axis] < split < bounds.hi[axis]:
-        split = float((bounds.lo[axis] + bounds.hi[axis]) * 0.5)
-        if not bounds.lo[axis] < split < bounds.hi[axis]:
+def _widest_axis(lo: list[float], hi: list[float]) -> int:
+    """``np.argmax(hi - lo)``: the first axis of largest extent."""
+    extent = [h - l for l, h in zip(lo, hi)]
+    return extent.index(max(extent))
+
+
+def _median(values: list[float]) -> float:
+    """``np.median`` of a non-empty, NaN-free list, bit for bit.
+
+    numpy averages the middle value, or the two middle values, of the
+    sorted list with a sum that starts at ``+0.0``, so a zero median is
+    ``+0.0`` whatever the signs of the zeros it came from.
+    """
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return 0.0 + ordered[mid]
+    return (0.0 + ordered[mid - 1] + ordered[mid]) / 2.0
+
+
+def _median_split(lo: list[float], hi: list[float],
+                  tri_lo: list[list[float]], tri_hi: list[list[float]],
+                  indices: list[int]) -> tuple[int, float] | None:
+    axis = _widest_axis(lo, hi)
+    los, his = tri_lo[axis], tri_hi[axis]
+    split = _median([(los[i] + his[i]) * 0.5 for i in indices])
+    if not lo[axis] < split < hi[axis]:
+        split = (lo[axis] + hi[axis]) * 0.5
+        if not lo[axis] < split < hi[axis]:
             return None
     return axis, split
 
 
-def _sah_split(bounds: AABB, tri_bounds: list[AABB], indices: list[int],
-               num_bins: int = 16) -> tuple[int, float] | None:
+def _sah_split(lo: list[float], hi: list[float],
+               tri_lo: list[list[float]], tri_hi: list[list[float]],
+               indices: list[int], num_bins: int = 16
+               ) -> tuple[int, float] | None:
     """Binned SAH: minimize SA(L)*N_L + SA(R)*N_R over candidate planes."""
     best = None
-    best_cost = len(indices) * bounds.surface_area  # cost of not splitting
+    best_cost = len(indices) * box_surface_area(lo, hi)  # not splitting
     for axis in range(3):
-        lo = bounds.lo[axis]
-        hi = bounds.hi[axis]
-        if hi - lo <= 0.0:
+        low = lo[axis]
+        high = hi[axis]
+        if high - low <= 0.0:
             continue
+        los, his = tri_lo[axis], tri_hi[axis]
         for bin_index in range(1, num_bins):
-            split = lo + (hi - lo) * bin_index / num_bins
-            n_left = sum(1 for i in indices if tri_bounds[i].lo[axis] <= split)
-            n_right = sum(1 for i in indices if tri_bounds[i].hi[axis] >= split)
-            left_box, right_box = bounds.split(axis, split)
-            cost = (left_box.surface_area * n_left
-                    + right_box.surface_area * n_right)
+            split = low + (high - low) * bin_index / num_bins
+            n_left = sum(1 for i in indices if los[i] <= split)
+            n_right = sum(1 for i in indices if his[i] >= split)
+            left_box, right_box = box_split(lo, hi, axis, split)
+            cost = (box_surface_area(*left_box) * n_left
+                    + box_surface_area(*right_box) * n_right)
             if cost < best_cost:
                 best_cost = cost
-                best = (axis, float(split))
+                best = (axis, split)
     return best
 
 
@@ -188,26 +228,33 @@ def build_kdtree(triangles: list[Triangle], *, max_depth: int = 18,
     for box in tri_bounds:
         world = world.union(box)
     world = world.grown(max(bounds_eps, bounds_eps * float(np.max(world.extent))))
+    # Per-axis float lists of the triangle bounds: tri_lo[axis][i].
+    tri_lo = np.stack([box.lo for box in tri_bounds]).T.tolist()
+    tri_hi = np.stack([box.hi for box in tri_bounds]).T.tolist()
 
-    def build(bounds: AABB, indices: list[int], depth: int) -> KDNode:
+    def build(lo: list[float], hi: list[float], indices: list[int],
+              depth: int) -> KDNode:
         if depth >= max_depth or len(indices) <= leaf_size:
-            return KDNode(bounds=bounds, triangle_indices=indices)
-        plane = splitter(bounds, tri_bounds, indices)
+            return KDNode(triangle_indices=indices)
+        plane = splitter(lo, hi, tri_lo, tri_hi, indices)
         if plane is None:
-            return KDNode(bounds=bounds, triangle_indices=indices)
+            return KDNode(triangle_indices=indices)
         axis, split = plane
-        left_idx = [i for i in indices if tri_bounds[i].lo[axis] <= split]
-        right_idx = [i for i in indices if tri_bounds[i].hi[axis] >= split]
+        los, his = tri_lo[axis], tri_hi[axis]
+        left_idx = [i for i in indices if los[i] <= split]
+        right_idx = [i for i in indices if his[i] >= split]
         if len(left_idx) == len(indices) and len(right_idx) == len(indices):
             # Every triangle straddles the plane; splitting cannot help.
-            return KDNode(bounds=bounds, triangle_indices=indices)
-        left_box, right_box = bounds.split(axis, split)
-        node = KDNode(bounds=bounds, axis=axis, split=split)
-        node.left = build(left_box, left_idx, depth + 1)
-        node.right = build(right_box, right_idx, depth + 1)
+            return KDNode(triangle_indices=indices)
+        (left_lo, left_hi), (right_lo, right_hi) = box_split(lo, hi, axis,
+                                                             split)
+        node = KDNode(axis=axis, split=split)
+        node.left = build(left_lo, left_hi, left_idx, depth + 1)
+        node.right = build(right_lo, right_hi, right_idx, depth + 1)
         return node
 
-    root = build(world, list(range(len(triangles))), 0)
+    root = build(world.lo.tolist(), world.hi.tolist(),
+                 list(range(len(triangles))), 0)
     nodes, leaf_indices = _flatten(root)
     return KDTree(root=root, bounds=world, triangles=list(triangles),
                   nodes=nodes, leaf_indices=leaf_indices)

@@ -27,6 +27,13 @@ Per-ray algorithm (both sides implement exactly this):
 The result record per ray is ``(bounce_count, last_hit_triangle)``: the
 data-dependent quantity the roulette loop produces, stored where the
 single-bounce kernels store ``(t, triangle)``.
+
+Like :mod:`repro.rt.trace`, the loop runs on plain Python floats (the tree
+as lists, each segment's origin and direction as float tuples), which is
+bit-identical to float64 numpy arithmetic; the one exception-prone step,
+the reciprocal square root of a zero-length sample, keeps the kernel's
+``rsqrt`` answer ``+inf``. Every segment adds its traversal counters to
+the path's totals once, when the segment ends.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import math
 
 import numpy as np
 
-from repro.rt.geometry import WaldTriangle, triangles_to_wald_array
+from repro.rt.geometry import WaldTriangle
 from repro.rt.kdtree import KDTree
 from repro.rt.trace import TraceCounters, TraceResult, _trace_one
 
@@ -63,15 +70,20 @@ def rng_next(state: float) -> float:
     return float(int(state * float(LCG_MULTIPLIER)) % LCG_MODULUS)
 
 
-def _decode_normal(words: np.ndarray) -> tuple[float, float, float]:
+def _rsqrt(x: float) -> float:
+    """The kernel's ``rsqrt`` (``1 / sqrt``), ``+inf`` at zero."""
+    return 1.0 / math.sqrt(x) if x else math.inf
+
+
+def _decode_normal(words: list[float]) -> tuple[float, float, float]:
     """Unnormalized geometric normal from a Wald record's (k, n_u, n_v).
 
     The dominant-axis component is exactly 1, so the squared length is at
     least 1 and ``rsqrt`` is always finite — the kernel relies on this.
     """
     k = int(words[0])
-    nu = float(words[1])
-    nv = float(words[2])
+    nu = words[1]
+    nv = words[2]
     if k == 0:
         return 1.0, nu, nv
     if k == 1:
@@ -95,40 +107,39 @@ def path_trace_rays(tree: KDTree, origins: np.ndarray,
     directions = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
     num_rays = origins.shape[0]
     limits = np.broadcast_to(np.asarray(t_max, dtype=np.float64), (num_rays,))
-    wald_rows = triangles_to_wald_array(tree.triangles)
+    nodes = tree.nodes.tolist()
+    leaf_indices = tree.leaf_indices.tolist()
+    wald_rows = tree.wald.tolist()
     wald = [WaldTriangle.from_words(row) for row in wald_rows]
-    nodes = tree.nodes
-    leaf_indices = tree.leaf_indices
-    out_bounces = np.zeros(num_rays, dtype=np.float64)
-    out_tri = np.full(num_rays, -1, dtype=np.int64)
-    counters = TraceCounters(
-        node_visits=np.zeros(num_rays, np.int64),
-        leaf_visits=np.zeros(num_rays, np.int64),
-        triangle_tests=np.zeros(num_rays, np.int64),
-        stack_pushes=np.zeros(num_rays, np.int64),
-    )
+    out_bounces = []
+    out_tri = []
+    rows = []
     q = float(roulette_q)
-    for ray in range(num_rays):
+    for ray, (origin, direction, t_limit) in enumerate(zip(
+            origins.tolist(), directions.tolist(), limits.tolist())):
+        counts = [0, 0, 0, 0]
         bounces, last_tri = _path_trace_one(
-            nodes, leaf_indices, wald, wald_rows, tree,
-            origins[ray], directions[ray], float(limits[ray]),
-            int(max_depth), q, rng_init(ray, seed), counters, ray)
-        out_bounces[ray] = float(bounces)
-        out_tri[ray] = last_tri
-    return TraceResult(t=out_bounces, triangle=out_tri, counters=counters)
+            nodes, leaf_indices, wald, wald_rows, tree.bounds,
+            origin, direction, t_limit, int(max_depth), q,
+            rng_init(ray, seed), counts)
+        out_bounces.append(float(bounces))
+        out_tri.append(last_tri)
+        rows.append(counts)
+    return TraceResult(t=np.array(out_bounces, dtype=np.float64),
+                       triangle=np.array(out_tri, dtype=np.int64),
+                       counters=TraceCounters.from_rows(rows))
 
 
-def _path_trace_one(nodes, leaf_indices, wald, wald_rows, tree,
+def _path_trace_one(nodes, leaf_indices, wald, wald_rows, bounds,
                     origin, direction, t_limit, max_depth, q, state,
-                    counters, ray) -> tuple[int, int]:
-    ox, oy, oz = float(origin[0]), float(origin[1]), float(origin[2])
-    dx, dy, dz = float(direction[0]), float(direction[1]), float(direction[2])
+                    counts) -> tuple[int, int]:
+    ox, oy, oz = origin
+    dx, dy, dz = direction
     bounces = 0
     last_tri = -1
     while True:
-        hit = _trace_one(nodes, leaf_indices, wald, tree,
-                         np.array((ox, oy, oz)), np.array((dx, dy, dz)),
-                         t_limit, counters, ray)
+        hit = _trace_one(nodes, leaf_indices, wald, bounds,
+                         (ox, oy, oz), (dx, dy, dz), t_limit, counts)
         if hit is None:
             return bounces, last_tri
         best_t, best_tri = hit
@@ -171,8 +182,7 @@ def _path_trace_one(nodes, leaf_indices, wald, wald_rows, tree,
         slen = sx * sx
         slen = sy * sy + slen
         slen = sz * sz + slen
-        with np.errstate(divide="ignore"):
-            sinv = float(1.0 / np.sqrt(slen))
+        sinv = _rsqrt(slen)
         if slen >= _NORMAL_EPS:
             sx, sy, sz = sx * sinv, sy * sinv, sz * sinv
         else:
@@ -183,8 +193,7 @@ def _path_trace_one(nodes, leaf_indices, wald, wald_rows, tree,
         blen = bx * bx
         blen = by * by + blen
         blen = bz * bz + blen
-        with np.errstate(divide="ignore"):
-            binv = float(1.0 / np.sqrt(blen))
+        binv = _rsqrt(blen)
         if blen >= _NORMAL_EPS:
             dx, dy, dz = bx * binv, by * binv, bz * binv
         else:

@@ -322,3 +322,22 @@ class TestResolveJobs:
     def test_empty_env_falls_through(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "")
         assert resolve_jobs() == (os.cpu_count() or 1)
+
+
+def test_api_import_loads_no_process_pool():
+    """Only ``warm_workloads``' parallel branch uses a process pool, so
+    importing the API (every ``repro run`` and ``repro worker`` does)
+    loads neither ``concurrent.futures`` nor ``multiprocessing``."""
+    import subprocess
+    import sys
+
+    import repro
+
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    code = ("import sys, repro.api; "
+            "print(sorted(name for name in sys.modules "
+            "if name in ('concurrent.futures', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, cwd=src,
+                          env={"PYTHONPATH": src, "PATH": ""})
+    assert proc.stdout.strip() == "[]"

@@ -12,6 +12,7 @@ from repro.rt.geometry import (
     WALD_TRIANGLE_WORDS,
     triangles_to_wald_array,
 )
+from repro.rt.vecmath import cross, dot
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False,
                   allow_infinity=False)
@@ -257,3 +258,84 @@ class TestWaldTriangle:
                 1.0 + float(np.abs(hit).max()))
         else:
             assert ours == pytest.approx(theirs, rel=1e-6, abs=1e-9)
+
+
+#: Values that meet the float/numpy differences: signed zeros, equal
+#: coordinates, infinities' sources (zero direction components).
+edge_value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0, 1e-300])
+edge_coord = st.one_of(edge_value, coord)
+edge_point = st.tuples(edge_coord, edge_coord, edge_coord).map(np.array)
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def numpy_ray_range(box: AABB, origin, direction) -> tuple[float, float]:
+    """The slab test in numpy arrays, the reference for the float walk."""
+    with np.errstate(all="ignore"):
+        inv = 1.0 / np.asarray(direction, dtype=np.float64)
+        t0 = (box.lo - origin) * inv
+        t1 = (box.hi - origin) * inv
+    t0 = np.where(np.isnan(t0), -np.inf, t0)
+    t1 = np.where(np.isnan(t1), np.inf, t1)
+    t_enter = float(np.max(np.minimum(t0, t1)))
+    t_exit = float(np.min(np.maximum(t0, t1)))
+    return max(t_enter, 0.0), t_exit
+
+
+def numpy_wald_words(tri: Triangle) -> list[float]:
+    """Wald's precomputation in numpy (``np.cross``, ``vecmath.dot``,
+    ``np.argmax``), the reference for the float one."""
+    normal = cross(tri.b - tri.a, tri.c - tri.a)
+    k = int(np.argmax(np.abs(normal)))
+    u, v = ((1, 2), (2, 0), (0, 1))[k]
+    b_vec = tri.c - tri.a
+    c_vec = tri.b - tri.a
+    det = c_vec[u] * b_vec[v] - c_vec[v] * b_vec[u]
+    return [float(k), normal[u] / normal[k], normal[v] / normal[k],
+            dot(tri.a, normal) / normal[k], tri.a[u], tri.a[v],
+            b_vec[v] / det, -b_vec[u] / det, -c_vec[v] / det,
+            c_vec[u] / det, 0.0, 0.0]
+
+
+class TestMatchesNumpyBitForBit:
+    """The float forms keep numpy's answer in every bit, signed zeros
+    included: the reference tracer's outputs depend on it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_point, edge_point, edge_point, edge_point)
+    def test_ray_range(self, lo, extent, origin, direction):
+        box = AABB(lo, lo + np.abs(extent))
+        assert bits(box.ray_range(origin.tolist(), direction.tolist())) == \
+            bits(numpy_ray_range(box, origin, direction))
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_point, edge_point, edge_point)
+    # Every product of A . normal is -0.0: numpy's sum is +0.0, so n_d is
+    # 0.0 / -1.0 = -0.0.
+    @example(a=np.zeros(3), b=np.array([0.0, 1.0, -1.0]),
+             c=np.array([1.0, -1.0, 0.0]))
+    def test_wald_precompute(self, a, b, c):
+        tri = Triangle(a, b, c)
+        try:
+            words = WaldTriangle.precompute(tri).to_words()
+        except SceneError:
+            return
+        assert bits(words) == bits(numpy_wald_words(tri))
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_point, edge_point, st.integers(0, 2), edge_coord)
+    def test_surface_area_and_split(self, lo, extent, axis, offset):
+        box = AABB(lo, lo + extent)
+        e = np.maximum(box.extent, 0.0)
+        area = 2.0 * (e[0] * e[1] + e[1] * e[2] + e[2] * e[0])
+        assert bits(box.surface_area) == bits(area)
+        position = box.lo[axis] + abs(offset)
+        if not box.lo[axis] <= position <= box.hi[axis]:
+            return
+        left, right = box.split(axis, position)
+        left_hi, right_lo = box.hi.copy(), box.lo.copy()
+        left_hi[axis] = right_lo[axis] = position
+        assert bits([left.lo, left.hi, right.lo, right.hi]) == \
+            bits([box.lo, left_hi, right_lo, box.hi])

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SceneError
 from repro.rt import build_kdtree, trace_rays
-from repro.rt.kdtree import LEAF_AXIS, NODE_WORDS
+from repro.rt.kdtree import LEAF_AXIS, NODE_WORDS, _median, _widest_axis
 from repro.rt.trace import brute_force_trace
 from tests.conftest import random_triangles
 
@@ -156,3 +156,22 @@ class TestTraversalCorrectness:
         unlimited = trace_rays(tiny_tree, origins, directions)
         generous = trace_rays(tiny_tree, origins, directions, t_max=1e9)
         assert np.array_equal(unlimited.triangle, generous.triangle)
+
+
+class TestMatchesNumpyBitForBit:
+    """The builder's float helpers keep numpy's answer in every bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, 1e308]),
+        st.floats(-100, 100)), min_size=1, max_size=40))
+    def test_median(self, values):
+        with np.errstate(over="ignore"):
+            expected = np.median(values)
+        assert np.float64(_median(values)).tobytes() == \
+            np.float64(expected).tobytes()
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, 2.5]),
+                    min_size=3, max_size=3))
+    def test_widest_axis_takes_the_first_maximum(self, extent):
+        assert _widest_axis([0.0] * 3, extent) == int(np.argmax(extent))

@@ -30,7 +30,9 @@ LOOP:
     add r1, r1, 1;
     setp.lt p0, r1, r2;
     @p0 bra LOOP;
-    add r3, r0, 128;
+    mov r5, 0;
+    ld.const r5, [r5+0];
+    add r3, r0, r5;
     mul r4, r1, 10;
     st.global [r3+0], r4;
     exit;
@@ -61,27 +63,42 @@ K1:
     st.spawn [r6+0], r1;
     @p0 spawn $K1, r6;
     @p0 exit;
-    add r3, r0, 128;
+    mov r7, 0;
+    ld.const r7, [r7+0];
+    add r3, r0, r7;
     mul r4, r1, 10;
     st.global [r3+0], r4;
     exit;
 """
 
 
+def trip_count_memory(num_threads, trips):
+    """Memory for the loop kernels: thread ``i`` of ``n`` reads its trip
+    count from global word ``i`` and stores ten times it at word
+    ``n + i``; constant word 0 holds that results base ``n``."""
+    mem = GlobalMemory(2 * num_threads)
+    mem.load_array(0, np.asarray(trips, dtype=float))
+    mem.set_result_range(num_threads, num_threads, stride=1)
+    return mem, np.array([float(num_threads)])
+
+
+def results(mem, num_threads):
+    """The loop kernels' result words."""
+    return mem.words[num_threads:2 * num_threads]
+
+
 def run_loop_kernel(num_threads=64, scheduling="warp", num_sms=1,
                     trips=None, **config_overrides):
     program = assemble(LOOP_KERNEL)
-    mem = GlobalMemory(512)
     trips = np.arange(1, num_threads + 1) if trips is None else trips
-    mem.load_array(0, trips.astype(float))
-    mem.set_result_range(128, num_threads, stride=1)
+    mem, const = trip_count_memory(num_threads, trips)
     config_overrides.setdefault("max_cycles", 500_000)
     config = scaled_config(num_sms, scheduling=scheduling,
                            **config_overrides)
     launch = LaunchSpec(program=program, entry_kernel="main",
                         num_threads=num_threads, registers_per_thread=8,
                         block_size=64)
-    gpu = GPU(config, launch, mem)
+    gpu = GPU(config, launch, mem, const)
     stats = gpu.run()
     return gpu, stats, mem, trips
 
@@ -89,7 +106,7 @@ def run_loop_kernel(num_threads=64, scheduling="warp", num_sms=1,
 class TestPDOMExecution:
     def test_results_correct(self):
         gpu, stats, mem, trips = run_loop_kernel()
-        assert np.array_equal(mem.words[128:192], trips * 10.0)
+        assert np.array_equal(results(mem, 64), trips * 10.0)
 
     def test_all_rays_complete(self):
         _, stats, _, _ = run_loop_kernel()
@@ -98,7 +115,7 @@ class TestPDOMExecution:
     def test_partial_last_warp(self):
         gpu, stats, mem, trips = run_loop_kernel(num_threads=40)
         assert stats.rays_completed == 40
-        assert np.array_equal(mem.words[128:168], trips * 10.0)
+        assert np.array_equal(results(mem, 40), trips * 10.0)
 
     def test_divergence_recorded(self):
         _, stats, _, _ = run_loop_kernel()
@@ -117,8 +134,18 @@ class TestPDOMExecution:
     def test_multi_sm_distribution(self):
         gpu, stats, mem, trips = run_loop_kernel(num_threads=256, num_sms=2)
         assert stats.rays_completed == 256
+        assert np.array_equal(results(mem, 256), trips * 10.0)
         launched = [sm.stats.threads_launched for sm in gpu.sms]
         assert all(count > 0 for count in launched)
+
+    def test_thirty_sms(self):
+        """The paper's 30 SMs, one 64-thread block each."""
+        trips = 1 + np.arange(1920) % 64
+        gpu, stats, mem, _ = run_loop_kernel(num_threads=1920, num_sms=30,
+                                             trips=trips)
+        assert stats.rays_completed == 1920
+        assert np.array_equal(results(mem, 1920), trips * 10.0)
+        assert all(sm.stats.threads_launched == 64 for sm in gpu.sms)
 
     def test_ipc_positive_and_bounded(self):
         _, stats, _, _ = run_loop_kernel()
@@ -154,25 +181,32 @@ class TestSchedulingModels:
 
 
 class TestSpawnExecution:
-    def run_spawn(self, num_threads=64, num_sms=1, **overrides):
+    def run_spawn(self, num_threads=64, num_sms=1, trips=None, **overrides):
         program = assemble(SPAWN_KERNEL)
-        mem = GlobalMemory(512)
-        trips = np.arange(1, num_threads + 1)
-        mem.load_array(0, trips.astype(float))
-        mem.set_result_range(128, num_threads, stride=1)
+        trips = np.arange(1, num_threads + 1) if trips is None else trips
+        mem, const = trip_count_memory(num_threads, trips)
         overrides.setdefault("max_cycles", 1_000_000)
         config = scaled_config(num_sms, spawn_enabled=True, **overrides)
         launch = LaunchSpec(program=program, entry_kernel="K0",
                             num_threads=num_threads, registers_per_thread=8,
                             block_size=32, state_words=4)
-        gpu = GPU(config, launch, mem)
+        gpu = GPU(config, launch, mem, const)
         stats = gpu.run()
         return gpu, stats, mem, trips
 
     def test_results_correct(self):
         _, stats, mem, trips = self.run_spawn()
-        assert np.array_equal(mem.words[128:192], trips * 10.0)
+        assert np.array_equal(results(mem, 64), trips * 10.0)
         assert stats.rays_completed == 64
+
+    def test_thirty_sms(self):
+        trips = 1 + np.arange(1920) % 8
+        gpu, stats, mem, _ = self.run_spawn(num_threads=1920, num_sms=30,
+                                            trips=trips)
+        assert stats.rays_completed == 1920
+        assert np.array_equal(results(mem, 1920), trips * 10.0)
+        assert stats.sm_stats.threads_spawned == int(trips.sum())
+        assert all(sm.stats.threads_launched for sm in gpu.sms)
 
     def test_spawn_counters(self):
         _, stats, _, trips = self.run_spawn()
