@@ -18,7 +18,6 @@ from ``repro.api`` (or ``repro`` directly)::
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Iterable
 
 from repro.errors import ConfigError
@@ -27,6 +26,7 @@ from repro.harness.runner import (
     MODES,
     PAPER_SMS,
     RunResult,
+    SweepJob,
     Workload,
     build_workload,
     config_for_mode,
@@ -37,9 +37,7 @@ from repro.harness.runner import (
 from repro.harness.sweep import (
     FailedJob,
     FaultInjector,
-    JobResult,
     RetryPolicy,
-    SweepJob,
     SweepResults,
     run_stats_digest,
     run_sweep,
@@ -107,22 +105,11 @@ def simulate(scene, mode: str, *, preset="fast", ray_kind: str = "primary",
     else:
         workload = prepare_workload(scene, _resolve_preset(preset),
                                     ray_kind=ray_kind, seed=seed, cache=cache)
-    started = time.perf_counter()
     result = run_mode(mode, workload, max_cycles=max_cycles,
                       fast_forward=fast_forward,
                       trace=_resolve_probes(probes))
-    # Opt-in results warehouse (no-op without REPRO_RESULTS_DIR): the wall
-    # clock covers the simulation only, not workload preparation, matching
-    # what JobResult.wall_seconds measures on the sweep path. The explicit
-    # job spec carries max_cycles/fast_forward so the recorded
-    # config_digest matches an identically-configured sweep job.
-    maybe_record(result, source="simulate",
-                 wall_seconds=time.perf_counter() - started, seed=seed,
-                 job=SweepJob(scene=workload.scene_name, mode=mode,
-                              preset=workload.preset.name,
-                              ray_kind=workload.ray_kind, seed=seed,
-                              max_cycles=max_cycles,
-                              fast_forward=fast_forward))
+    # Opt-in results warehouse (no-op without REPRO_RESULTS_DIR).
+    maybe_record(result, source="simulate")
     return result
 
 
@@ -169,7 +156,6 @@ __all__ = [
     "FailedJob",
     "FaultInjector",
     "FuzzReport",
-    "JobResult",
     "ResultsStore",
     "RetryPolicy",
     "RunResult",

@@ -218,7 +218,6 @@ def _cmd_run(args) -> int:
             print(f"wrote {args.profile_out} (load with pstats or snakeviz)")
     else:
         result = simulate()
-    workload = result.workload
     clock = "fast" if args.fast_forward else "exact"
     print(f"scene={args.scene} rays={args.rays} mode={args.mode} "
           f"preset={preset.name} clock={clock}")
@@ -226,7 +225,7 @@ def _cmd_run(args) -> int:
     print(f"  IPC                {result.ipc:.2f}")
     print(f"  SIMT efficiency    {result.simt_efficiency:.3f}")
     print(f"  rays completed     {result.stats.rays_completed}"
-          f"/{workload.num_rays}")
+          f"/{result.num_rays}")
     print(f"  Mrays/s (30 SMs)   {result.rays_per_second / 1e6:.1f}")
     print(f"  DRAM read/write    {result.stats.dram_read_bytes}"
           f"/{result.stats.dram_write_bytes} bytes")
@@ -415,12 +414,12 @@ def _cmd_worker(args) -> int:
 def _cmd_submit(args) -> int:
     from repro.errors import ServeError
     from repro.serve.client import ServeClient
-    from repro.serve.wire import SimulateRequest
+    from repro.serve.wire import SweepRequest
 
     client = ServeClient(args.url, timeout=args.http_timeout)
-    request = SimulateRequest(
+    request = SweepRequest(jobs=(api.SweepJob(
         scene=args.scene, mode=args.mode, preset=args.preset,
-        ray_kind=args.rays, seed=args.seed)
+        ray_kind=args.rays, seed=args.seed),))
     try:
         if args.no_wait:
             status = client.submit(request)

@@ -4,6 +4,7 @@ from repro.harness.presets import PRESETS, SimPreset, get_preset
 from repro.harness.runner import (
     MODES,
     RunResult,
+    SweepJob,
     Workload,
     build_workload,
     prepare_workload,
@@ -11,8 +12,6 @@ from repro.harness.runner import (
 )
 from repro.harness.cache import WorkloadCache, cache_enabled, default_cache
 from repro.harness.sweep import (
-    JobResult,
-    SweepJob,
     SweepResults,
     resolve_jobs,
     run_sweep,
@@ -23,7 +22,6 @@ from repro.harness import experiments
 __all__ = [
     "MODES",
     "PRESETS",
-    "JobResult",
     "RunResult",
     "SimPreset",
     "SweepJob",

@@ -283,7 +283,7 @@ class WorkloadCache:
 
         if ray_kind == "primary":
             self.stats.misses += 1
-            return build_primary_workload(scene_name, preset)
+            return build_primary_workload(scene_name, preset, seed=seed)
         if ray_kind == "bfs":
             # Graphs share nothing with the ray workloads: a full build.
             self.stats.misses += 1

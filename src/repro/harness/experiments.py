@@ -28,7 +28,11 @@ from repro.analysis.divergence import breakdown_from_stats, render_breakdown
 from repro.analysis.report import format_table
 from repro.config import paper_config
 from repro.harness.presets import SimPreset, get_preset
-from repro.harness.runner import mimd_rays_per_second, prepare_workload
+from repro.harness.runner import (
+    mimd_rays_per_second,
+    prepare_workload,
+    verify_results,
+)
 from repro.harness.sweep import (
     SweepJob,
     SweepResults,
@@ -60,13 +64,8 @@ WORKLOAD_MODES = ("pdom_block", "pdom_warp", "spawn")
 
 def _sim(results: SweepResults | None, scene: str, mode: str,
          preset: SimPreset, ray_kind: str = "primary"):
-    """One simulation: served from sweep results when available.
-
-    Returns either a :class:`~repro.harness.sweep.JobResult` or a
-    :class:`~repro.harness.runner.RunResult`; both expose ``stats``,
-    ``ipc``, ``simt_efficiency``, ``rays_per_second``,
-    ``completed_fraction``, and ``verify()``.
-    """
+    """One simulation's :class:`~repro.harness.runner.RunResult`: served
+    from sweep results when available, simulated otherwise."""
     if results is not None:
         try:
             return results.get(scene, mode, ray_kind)
@@ -282,8 +281,6 @@ def fig10(preset: SimPreset, scene: str = "conference",
 def ablation_dwf(preset: SimPreset, workload=None,
                  results: SweepResults | None = None) -> dict:
     """Regrouping mechanisms: PDOM vs idealized DWF vs dynamic µ-kernels."""
-    import numpy as np
-
     from repro.api import config_for_mode
     from repro.kernels.layout import build_memory_image
     from repro.kernels.traditional import traditional_program
@@ -297,10 +294,7 @@ def ablation_dwf(preset: SimPreset, workload=None,
                   image.const_mem,
                   num_threads=min(workload.num_rays, 736),
                   max_cycles=preset.max_cycles)
-    t, tri = image.results()
-    done = ~np.isnan(t)
-    verified = bool(np.array_equal(tri[done],
-                                   workload.reference.triangle[done]))
+    verified = verify_results(workload, image)
     pdom = _sim(results, workload.scene_name, "pdom_warp", preset)
     spawn = _sim(results, workload.scene_name, "spawn", preset)
     rows = [
@@ -322,8 +316,6 @@ def ablation_dwf(preset: SimPreset, workload=None,
 def ablation_persistent(preset: SimPreset, workload=None,
                         results: SweepResults | None = None) -> dict:
     """Work scheduling: grid launch vs persistent threads vs µ-kernels."""
-    import numpy as np
-
     from repro.api import config_for_mode
     from repro.kernels.layout import build_memory_image
     from repro.kernels.persistent import (
@@ -340,10 +332,7 @@ def ablation_persistent(preset: SimPreset, workload=None,
     gpu = GPU(config, launch, image.global_mem, image.const_mem,
               divergence_window=preset.divergence_window)
     persistent = gpu.run()
-    t, tri = image.results()
-    done = ~np.isnan(t)
-    verified = bool(np.array_equal(tri[done],
-                                   workload.reference.triangle[done]))
+    verified = verify_results(workload, image)
     grid = _sim(results, workload.scene_name, "pdom_warp", preset)
     spawn = _sim(results, workload.scene_name, "spawn", preset)
     rows = [

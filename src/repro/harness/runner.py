@@ -1,9 +1,12 @@
 """Wire scenes, kernels, and configurations into simulation runs.
 
 ``run_mode`` executes one (workload, machine-mode) pair and returns a
-:class:`RunResult` with the metrics the paper reports: IPC, SIMT
-efficiency, rays/second (scaled to the 30-SM machine), divergence
-breakdown, and traffic counters.
+:class:`RunResult`: the run's :class:`SweepJob`, its
+:class:`~repro.simt.gpu.RunStats`, whether it matched the reference, and
+its wall time. The result carries the metrics the paper reports: IPC,
+SIMT efficiency, rays/second (scaled to the 30-SM machine), divergence
+breakdown, and traffic counters. Every path that simulates — the serial
+sweep, ``repro worker``, ``api.simulate`` — returns this one record.
 
 Machine modes (see :data:`MODES`):
 
@@ -22,6 +25,7 @@ spawn_ideal        spawn with the ideal memory system (Fig 10)
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +34,7 @@ from repro.config import GPUConfig, SchedulingModel, scaled_config
 from repro.errors import ConfigError
 from repro.harness.presets import SimPreset
 from repro.kernels.graph import (
+    GraphMemoryImage,
     bfs_launch_spec,
     bfs_microkernel_launch_spec,
     build_graph_memory_image,
@@ -99,16 +104,74 @@ class Workload:
         return self.origins.shape[0]
 
 
-class StatsView:
-    """Shared metric properties for results that wrap a :class:`RunStats`.
+@dataclass(frozen=True)
+class SweepJob:
+    """One simulation, by value: everything a worker needs to run it."""
 
-    The canonical metric implementations live on ``RunStats`` itself; every
-    result type (``RunResult``, the sweep engine's ``JobResult``, ...) mixes
-    this in so they all report identical numbers by construction instead of
-    each re-deriving IPC/efficiency/rays-per-second.
+    scene: str
+    mode: str
+    preset: str                      # preset *name*; workers re-resolve it
+    ray_kind: str = "primary"
+    seed: int = 0
+    max_cycles: int | None = None
+    fast_forward: bool | None = None
+
+    def __post_init__(self):
+        # The event-driven clock is the default, so an explicit True names
+        # the same configuration as None: one job, one key, one digest.
+        if self.fast_forward is True:
+            object.__setattr__(self, "fast_forward", None)
+
+    @property
+    def key(self) -> tuple[str, str, str, int]:
+        return (self.scene, self.mode, self.ray_kind, self.seed)
+
+    def describe(self) -> str:
+        tail = "" if self.ray_kind == "primary" else f"/{self.ray_kind}"
+        return f"{self.scene}{tail}:{self.mode}"
+
+    def config_digest(self) -> str:
+        """Hash of every field that determines the job's result.
+
+        Checkpoint records are keyed by :attr:`key` *and* this digest, so
+        a resumed sweep never serves a result that was computed under a
+        different preset, cycle budget, or clock.
+        """
+        # Imported here, not at module top: the workload cache loads
+        # hashlib later in ``import repro.api``, and loading it (and
+        # OpenSSL) this early instead adds 88 KB to every process's peak
+        # RSS.
+        import hashlib
+
+        parts = [
+            "sweep-job-v1", self.scene, self.mode, self.preset,
+            self.ray_kind, f"seed={self.seed}",
+            f"max_cycles={self.max_cycles}",
+            f"fast_forward={self.fast_forward}",
+        ]
+        return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
+
+
+@dataclass
+class RunResult:
+    """The record of one simulation.
+
+    :func:`run_mode` builds it on every path; a wire ``result`` record
+    rehydrates it. It holds no workload and no memory image, so a sweep
+    can keep all of its results alive.
     """
 
+    job: SweepJob
     stats: RunStats
+    num_rays: int
+    verified: bool
+    #: Host time of :func:`run_mode`'s body: memory image, launch, machine
+    #: build and run (workload preparation and verification excluded).
+    wall_seconds: float
+    trace: object | None = None
+    """The :class:`repro.obs.TraceSession` that observed the run, when one
+    was requested (``repro.api.simulate(..., probes=...)``); in-process
+    only, never serialized."""
 
     @property
     def ipc(self) -> float:
@@ -125,56 +188,59 @@ class StatsView:
         """Rays/s scaled to the paper's 30-SM machine."""
         return self.stats.rays_per_second(scale_to_sms=PAPER_SMS)
 
-
-@dataclass
-class RunResult(StatsView):
-    """Metrics from one simulated run."""
-
-    mode: str
-    workload: Workload
-    stats: RunStats
-    image: MemoryImage
-    trace: object | None = None
-    """The :class:`repro.obs.TraceSession` that observed the run, when one
-    was requested (``repro.api.simulate(..., probes=...)``)."""
-
     @property
     def completed_fraction(self) -> float:
         # An empty/truncated workload completes nothing, not a div-zero.
-        if self.workload.num_rays == 0:
+        if self.num_rays == 0:
             return 0.0
-        return self.stats.rays_completed / self.workload.num_rays
+        return self.stats.rays_completed / self.num_rays
 
     def verify(self) -> bool:
-        """Check results against the reference for completed rays."""
-        ref = self.workload.reference
-        if self.workload.ray_kind == "bfs":
-            # The lock-free traversal may discover a vertex through a
-            # deeper parent than true BFS order would, so levels are
-            # checked as lower-bounded, not equal; the visited set itself
-            # is schedule-independent (subset of reachable; equality is
-            # what completed_fraction == 1.0 certifies).
-            level, flag = self.image.results()
-            done = ~np.isnan(level)
-            if not done.any():
-                return True
-            reachable = np.isfinite(ref.t)
-            return (bool(np.all(reachable[done]))
-                    and bool(np.all(np.isfinite(level[done])))
-                    and bool(np.all(level[done] >= ref.t[done]))
-                    and bool(np.all(flag[done] == 1)))
-        t, tri = self.image.results()
-        done = ~np.isnan(t)
+        """Whether the run's completed results matched the reference."""
+        return self.verified
+
+
+def verify_results(workload: Workload,
+                   image: MemoryImage | GraphMemoryImage) -> bool:
+    """Check a run's written results against the workload's reference.
+
+    Only completed results are checked (an unfinished slot reads NaN), so
+    a run cut off by its cycle cap still verifies what it finished. Ray
+    batches compare the hit triangle and ``t`` (misses as ``inf``).
+    """
+    ref = workload.reference
+    if workload.ray_kind == "bfs":
+        # The lock-free traversal may discover a vertex through a
+        # deeper parent than true BFS order would, so levels are
+        # checked as lower-bounded, not equal; the visited set itself
+        # is schedule-independent (subset of reachable; equality is
+        # what completed_fraction == 1.0 certifies).
+        level, flag = image.results()
+        done = ~np.isnan(level)
         if not done.any():
             return True
-        tri_ok = np.array_equal(tri[done], ref.triangle[done])
-        mine = np.where(np.isinf(t[done]), -1.0, t[done])
-        theirs = np.where(np.isinf(ref.t[done]), -1.0, ref.t[done])
-        return tri_ok and np.array_equal(mine, theirs)
+        reachable = np.isfinite(ref.t)
+        return (bool(np.all(reachable[done]))
+                and bool(np.all(np.isfinite(level[done])))
+                and bool(np.all(level[done] >= ref.t[done]))
+                and bool(np.all(flag[done] == 1)))
+    t, tri = image.results()
+    done = ~np.isnan(t)
+    if not done.any():
+        return True
+    tri_ok = np.array_equal(tri[done], ref.triangle[done])
+    mine = np.where(np.isinf(t[done]), -1.0, t[done])
+    theirs = np.where(np.isinf(ref.t[done]), -1.0, ref.t[done])
+    return tri_ok and np.array_equal(mine, theirs)
 
 
-def build_primary_workload(scene_name: str, preset: SimPreset) -> Workload:
-    """Build scene, kd-tree, camera rays, and the primary reference trace."""
+def build_primary_workload(scene_name: str, preset: SimPreset,
+                           seed: int = 0) -> Workload:
+    """Build scene, kd-tree, camera rays, and the primary reference trace.
+
+    Camera rays draw nothing from ``seed``; the workload carries it so a
+    fresh build reports the seed it was asked for, as a cache load does.
+    """
     scene = make_scene(scene_name, detail=preset.scene_detail)
     tree = build_kdtree(scene.triangles, max_depth=preset.kd_max_depth,
                         leaf_size=preset.kd_leaf_size)
@@ -185,7 +251,8 @@ def build_primary_workload(scene_name: str, preset: SimPreset) -> Workload:
     reference = trace_rays(tree, origins, directions, t_max)
     return Workload(scene_name=scene_name, ray_kind="primary", tree=tree,
                     origins=origins, directions=directions, t_max=t_max,
-                    reference=reference, preset=preset, light=scene.light)
+                    reference=reference, preset=preset, light=scene.light,
+                    seed=seed)
 
 
 def derive_secondary_workload(primary: Workload, ray_kind: str,
@@ -218,7 +285,7 @@ def derive_secondary_workload(primary: Workload, ray_kind: str,
                     tree=primary.tree, origins=batch.origins,
                     directions=batch.directions, t_max=batch.t_max,
                     reference=reference, preset=primary.preset,
-                    light=primary.light)
+                    light=primary.light, seed=seed)
 
 
 def derive_path_workload(primary: Workload, seed: int = 0) -> Workload:
@@ -277,9 +344,9 @@ def build_workload(scene_name: str, preset: SimPreset,
     """Uncached workload build (one scene + tree + trace, reused per kind)."""
     if ray_kind == "bfs":
         return build_bfs_workload(scene_name, preset, seed=seed)
-    primary = build_primary_workload(scene_name, preset)
     if ray_kind == "primary":
-        return primary
+        return build_primary_workload(scene_name, preset, seed=seed)
+    primary = build_primary_workload(scene_name, preset)
     if ray_kind == "path":
         return derive_path_workload(primary, seed=seed)
     return derive_secondary_workload(primary, ray_kind, seed=seed)
@@ -376,27 +443,35 @@ def run_mode(mode: str, workload: Workload,
              max_cycles: int | None = None,
              fast_forward: bool | None = None,
              trace=None) -> RunResult:
-    """Simulate one mode on a prepared workload.
+    """Simulate one mode on a prepared workload and verify the run.
 
-    ``trace`` attaches a :class:`repro.obs.TraceSession` to the machine;
-    the returned result carries it (finalized) as ``result.trace``.
+    The result's job comes from these arguments and the workload (scene,
+    preset name, ray kind, seed). ``trace`` attaches a
+    :class:`repro.obs.TraceSession` to the machine; the returned result
+    carries it (finalized) as ``result.trace``.
     """
     preset = workload.preset
+    job = SweepJob(scene=workload.scene_name, mode=mode, preset=preset.name,
+                   ray_kind=workload.ray_kind, seed=workload.seed,
+                   max_cycles=max_cycles, fast_forward=fast_forward)
+    start = time.perf_counter()
     config = config_for_mode(mode, preset, fast_forward=fast_forward)
     image = image_for_workload(workload)
     launch = launch_for_workload(mode, workload)
     gpu = GPU(config, launch, image.global_mem, image.const_mem,
               divergence_window=preset.divergence_window, trace=trace)
     stats = gpu.run(max_cycles=max_cycles)
-    return RunResult(mode=mode, workload=workload, stats=stats, image=image,
-                     trace=trace)
+    wall = time.perf_counter() - start
+    return RunResult(job=job, stats=stats, num_rays=workload.num_rays,
+                     verified=verify_results(workload, image),
+                     wall_seconds=wall, trace=trace)
 
 
 __all__ = [
     "MODES",
     "PAPER_SMS",
     "RunResult",
-    "StatsView",
+    "SweepJob",
     "Workload",
     "build_bfs_workload",
     "build_primary_workload",
@@ -411,6 +486,7 @@ __all__ = [
     "mimd_rays_per_second",
     "prepare_workload",
     "run_mode",
+    "verify_results",
 ]
 
 

@@ -63,71 +63,13 @@ from repro.errors import (
 )
 from repro.harness.cache import resolve_cache_dir, resolve_env_dir
 from repro.harness.presets import get_preset
-from repro.harness.runner import StatsView, prepare_workload, run_mode
+from repro.harness.runner import (
+    RunResult,
+    SweepJob,
+    prepare_workload,
+    run_mode,
+)
 from repro.simt.gpu import RunStats
-
-
-@dataclass(frozen=True)
-class SweepJob:
-    """One independent simulation: everything a worker needs, by value."""
-
-    scene: str
-    mode: str
-    preset: str                      # preset *name*; workers re-resolve it
-    ray_kind: str = "primary"
-    seed: int = 0
-    max_cycles: int | None = None
-    fast_forward: bool | None = None
-
-    @property
-    def key(self) -> tuple[str, str, str, int]:
-        return (self.scene, self.mode, self.ray_kind, self.seed)
-
-    def describe(self) -> str:
-        tail = "" if self.ray_kind == "primary" else f"/{self.ray_kind}"
-        return f"{self.scene}{tail}:{self.mode}"
-
-    def config_digest(self) -> str:
-        """Hash of every field that determines the job's result.
-
-        Checkpoint records are keyed by :attr:`key` *and* this digest, so
-        a resumed sweep never serves a result that was computed under a
-        different preset, cycle budget, or clock.
-        """
-        parts = [
-            "sweep-job-v1", self.scene, self.mode, self.preset,
-            self.ray_kind, f"seed={self.seed}",
-            f"max_cycles={self.max_cycles}",
-            f"fast_forward={self.fast_forward}",
-        ]
-        return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
-
-
-@dataclass
-class JobResult(StatsView):
-    """What comes back from a worker: stats plus derived scalars.
-
-    Exposes the same metric surface as
-    :class:`~repro.harness.runner.RunResult` (both mix in
-    :class:`~repro.harness.runner.StatsView`), so figure code can consume
-    either interchangeably.
-    """
-
-    job: SweepJob
-    stats: RunStats
-    num_rays: int
-    verified: bool
-    wall_seconds: float
-
-    @property
-    def completed_fraction(self) -> float:
-        # An empty/truncated workload completes nothing, not a div-zero.
-        if self.num_rays == 0:
-            return 0.0
-        return self.stats.rays_completed / self.num_rays
-
-    def verify(self) -> bool:
-        return self.verified
 
 
 @dataclass
@@ -176,11 +118,11 @@ class SweepResults:
     (``strict=False``) sweep; a fully-successful sweep has ``ok == True``.
     """
 
-    def __init__(self, results: Iterable[JobResult],
+    def __init__(self, results: Iterable[RunResult],
                  failures: Iterable[FailedJob] = ()):
         self.results = list(results)
         self.failures = list(failures)
-        self._by_key: dict[tuple, JobResult] = {}
+        self._by_key: dict[tuple, RunResult] = {}
         for result in self.results:
             key = result.job.key
             if key in self._by_key:
@@ -197,7 +139,7 @@ class SweepResults:
         return len(self.results)
 
     def get(self, scene: str, mode: str, ray_kind: str = "primary",
-            seed: int = 0) -> JobResult:
+            seed: int = 0) -> RunResult:
         key = (scene, mode, ray_kind, seed)
         if key not in self._by_key:
             raise KeyError(f"no sweep result for {key}; have "
@@ -210,7 +152,7 @@ class SweepResults:
         return not self.failures
 
     @property
-    def unverified(self) -> list[JobResult]:
+    def unverified(self) -> list[RunResult]:
         """Completed jobs whose results failed reference verification."""
         return [result for result in self.results if not result.verified]
 
@@ -366,7 +308,7 @@ class FaultInjector:
 # -- job execution -----------------------------------------------------------
 
 
-def execute_job(job: SweepJob, injector: FaultInjector | None = None) -> JobResult:
+def execute_job(job: SweepJob, injector: FaultInjector | None = None) -> RunResult:
     """Run one job (in a worker or inline); workloads come via the cache.
 
     ``injector`` overrides the ``REPRO_FAULT_SPEC``-derived fault injector
@@ -376,19 +318,14 @@ def execute_job(job: SweepJob, injector: FaultInjector | None = None) -> JobResu
         injector = FaultInjector.from_env()
     if injector is not None:
         injector.fire(job)
-    preset = get_preset(job.preset)
-    start = time.perf_counter()
-    workload = prepare_workload(job.scene, preset, ray_kind=job.ray_kind,
-                                seed=job.seed)
-    result = run_mode(job.mode, workload, max_cycles=job.max_cycles,
-                      fast_forward=job.fast_forward)
-    wall = time.perf_counter() - start
-    return JobResult(job=job, stats=result.stats, num_rays=workload.num_rays,
-                     verified=result.verify(), wall_seconds=wall)
+    workload = prepare_workload(job.scene, get_preset(job.preset),
+                                ray_kind=job.ray_kind, seed=job.seed)
+    return run_mode(job.mode, workload, max_cycles=job.max_cycles,
+                    fast_forward=job.fast_forward)
 
 
 def _execute_with_deadline(job: SweepJob,
-                           timeout_seconds: float | None) -> JobResult:
+                           timeout_seconds: float | None) -> RunResult:
     """Run one job under a ``SIGALRM`` wall-clock budget.
 
     A hang inside Python code becomes an ordinary ``TimeoutError`` the
@@ -416,7 +353,7 @@ def _execute_with_deadline(job: SweepJob,
 def run_job(job: SweepJob, retry: RetryPolicy,
             emit: Callable[[str], None], first_attempt: int = 1,
             on_retry: Callable[[], object] | None = None
-            ) -> JobResult | FailedJob:
+            ) -> RunResult | FailedJob:
     """Execute ``job`` under ``retry``; a :class:`FailedJob` when spent.
 
     The one retry loop: the serial path and every ``repro worker`` run
@@ -482,7 +419,7 @@ def stderr_progress(line: str) -> None:
     print(line, file=sys.stderr, flush=True)
 
 
-def _progress_line(done: int, total: int, result: JobResult) -> str:
+def _progress_line(done: int, total: int, result: RunResult) -> str:
     flag = "" if result.verified else "  UNVERIFIED"
     return (f"[{done}/{total}] {result.job.describe()}  "
             f"{result.stats.cycles} cycles  "
@@ -540,11 +477,11 @@ def run_sweep(jobs: Iterable[SweepJob], jobs_n: int | None = None,
     cached = manifest.load() if resume else None
     emit = progress if progress is not None else (lambda line: None)
     total = len(job_list)
-    results: list[JobResult | None] = [None] * total
+    results: list[RunResult | None] = [None] * total
     failures: list[FailedJob] = []
     done = 0
 
-    def settle(index: int, outcome: JobResult | FailedJob,
+    def settle(index: int, outcome: RunResult | FailedJob,
                executed_here: bool) -> None:
         nonlocal done
         done += 1

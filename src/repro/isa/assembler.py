@@ -23,6 +23,7 @@ Comments start with ``#`` or ``//``; trailing semicolons are optional.
 
 from __future__ import annotations
 
+import math
 import re
 
 from repro.errors import AssemblerError
@@ -268,14 +269,20 @@ def _format_operand(operand: Operand) -> str:
         return f"p{operand.value}"
     if operand.kind == "sreg":
         return f"SREG.{operand.value}"
-    value = operand.value
-    if float(value).is_integer():
+    value = float(operand.value)
+    # -0.0 is integral too, but "0" would reassemble as +0.0.
+    negative_zero = value == 0.0 and math.copysign(1.0, value) < 0.0
+    if value.is_integer() and not negative_zero:
         return str(int(value))
     return repr(value)
 
 
 def disassemble(program: Program) -> str:
-    """Render a program back to assembly text (round-trips via assemble)."""
+    """Render a program back to assembly text.
+
+    ``assemble(disassemble(p))`` rebuilds ``p``, immediates bit for bit
+    (``-0.0``, ``nan`` and ``inf`` included).
+    """
     pc_labels: dict[int, list[str]] = {}
     for name, pc in program.labels.items():
         pc_labels.setdefault(pc, []).append(name)

@@ -128,7 +128,7 @@ def render_sweep_summary(results) -> str:
     """Completion/failure summary for a finished sweep.
 
     Duck-typed over :class:`repro.harness.sweep.SweepResults` (iterating
-    the completed :class:`~repro.harness.sweep.JobResult` rows and reading
+    the completed :class:`~repro.harness.runner.RunResult` rows and reading
     ``failures``) so this module needs no harness import. One headline
     line, then one line per quarantined or unverified job — the CLI prints
     it to stderr whenever a sweep finishes degraded.

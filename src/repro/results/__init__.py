@@ -6,10 +6,10 @@ get slower than revision A on the same configuration?". This package is
 that missing layer:
 
 - :mod:`repro.results.store` — the ``repro-results/1`` JSONL store: one
-  record per completed :class:`~repro.harness.runner.RunResult` /
-  :class:`~repro.harness.sweep.JobResult`, keyed by the job's
-  ``config_digest`` plus a ``run_stats_digest`` fingerprint, stamped with
-  git revision, a working-tree ``dirty`` flag, and a timestamp. Setting
+  record per completed :class:`~repro.harness.runner.RunResult`, keyed
+  by the job's ``config_digest`` plus a ``run_stats_digest`` fingerprint,
+  stamped with git revision, a working-tree ``dirty`` flag, and a
+  timestamp. Setting
   ``REPRO_RESULTS_DIR`` opts every execution path in —
   ``api.simulate``, ``api.sweep``/``repro experiments`` (serial sweeps
   record in the driver, parallel ones in each ``repro worker``

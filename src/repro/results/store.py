@@ -26,7 +26,9 @@ Record shape (sorted keys on disk)::
 ``metrics`` is fully determined by the simulation — two identical runs
 produce byte-identical ``key``/``job``/``config_digest``/
 ``run_stats_digest``/``metrics`` sections; only ``timing`` and
-``provenance`` vary run to run. ``provenance.dirty`` comes from
+``provenance`` vary run to run. ``timing.wall_seconds`` is the result's
+own: the simulation's host time, workload preparation excluded, on every
+path that records. ``provenance.dirty`` comes from
 ``git status --porcelain`` so a point measured on an uncommitted tree can
 never masquerade as the committed revision's honest number.
 
@@ -100,46 +102,14 @@ def stats_fingerprint(stats) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _job_for(result, seed: int = 0):
-    """The :class:`~repro.harness.sweep.SweepJob` spec behind a result.
-
-    ``JobResult`` carries its job; a ``RunResult`` (from ``api.simulate``)
-    is reconstructed from its workload and mode so both record the same
-    ``job``/``config_digest`` for the same configuration.
-    """
-    from repro.harness.sweep import SweepJob
-
-    job = getattr(result, "job", None)
-    if job is not None:
-        return job
-    workload = result.workload
-    return SweepJob(scene=workload.scene_name, mode=result.mode,
-                    preset=workload.preset.name,
-                    ray_kind=workload.ray_kind, seed=seed)
-
-
-def run_record(result, *, source: str, wall_seconds: float | None = None,
-               seed: int = 0, cwd: str | pathlib.Path | None = None,
-               job=None) -> dict:
-    """Build one ``repro-results/1`` ``run`` record from a completed result.
-
-    ``result`` is a :class:`~repro.harness.sweep.JobResult` or a
-    :class:`~repro.harness.runner.RunResult`; ``wall_seconds`` overrides
-    the wall clock for result types that do not carry one (``RunResult``).
-    ``job`` supplies the :class:`~repro.harness.sweep.SweepJob` spec for
-    result types that do not carry one either — a caller that knows the
-    full run configuration (``api.simulate`` knows ``max_cycles``,
-    ``fast_forward``) must pass it so the recorded ``config_digest``
-    matches the sweep path's for the same configuration.
-    """
-    if job is None:
-        job = _job_for(result, seed=seed)
-    wall = getattr(result, "wall_seconds", None) if wall_seconds is None \
-        else wall_seconds
+def run_record(result, *, source: str,
+               cwd: str | pathlib.Path | None = None) -> dict:
+    """Build one ``repro-results/1`` ``run`` record from a completed
+    :class:`~repro.harness.runner.RunResult`; every field but the
+    provenance comes from the result itself."""
+    job = result.job
     stats = result.stats
-    num_rays = getattr(result, "num_rays", None)
-    if num_rays is None:
-        num_rays = result.workload.num_rays
+    wall = result.wall_seconds
     rev, dirty = git_provenance(cwd)
     timestamp = datetime.datetime.now(datetime.timezone.utc) \
         .isoformat(timespec="seconds")
@@ -153,16 +123,16 @@ def run_record(result, *, source: str, wall_seconds: float | None = None,
         "metrics": {
             "cycles": int(stats.cycles),
             "rays_completed": int(stats.rays_completed),
-            "num_rays": int(num_rays),
+            "num_rays": int(result.num_rays),
             "ipc": round(float(result.ipc), 6),
             "simt_efficiency": round(float(result.simt_efficiency), 6),
             "rays_per_second": round(float(result.rays_per_second), 3),
-            "verified": bool(result.verify()),
+            "verified": bool(result.verified),
         },
         "timing": {
-            "wall_seconds": None if wall is None else round(float(wall), 6),
+            "wall_seconds": round(float(wall), 6),
             "cycles_per_second": (
-                None if not wall else round(stats.cycles / float(wall), 3)),
+                round(stats.cycles / float(wall), 3) if wall else None),
         },
         "provenance": {
             "git_rev": rev,
@@ -202,12 +172,9 @@ class ResultsStore:
         return record
 
     def record(self, result, *, source: str,
-               wall_seconds: float | None = None, seed: int = 0,
-               cwd: str | pathlib.Path | None = None, job=None) -> dict:
+               cwd: str | pathlib.Path | None = None) -> dict:
         """Build and append the record for one completed result."""
-        return self.append(run_record(result, source=source,
-                                      wall_seconds=wall_seconds, seed=seed,
-                                      cwd=cwd, job=job))
+        return self.append(run_record(result, source=source, cwd=cwd))
 
     def load(self) -> list[dict]:
         """Every usable ``run`` record in file (append) order."""
@@ -247,8 +214,7 @@ def default_store() -> ResultsStore | None:
     return ResultsStore(directory)
 
 
-def maybe_record(result, *, source: str, wall_seconds: float | None = None,
-                 seed: int = 0, job=None) -> dict | None:
+def maybe_record(result, *, source: str) -> dict | None:
     """Record ``result`` into the ``REPRO_RESULTS_DIR`` store, if opted in.
 
     The one hook every execution path calls: a no-op (returns ``None``)
@@ -258,8 +224,7 @@ def maybe_record(result, *, source: str, wall_seconds: float | None = None,
     store = default_store()
     if store is None:
         return None
-    return store.record(result, source=source, wall_seconds=wall_seconds,
-                        seed=seed, job=job)
+    return store.record(result, source=source)
 
 
 __all__ = [

@@ -223,14 +223,17 @@ def build_kdtree(triangles: list[Triangle], *, max_depth: int = 18,
     if max_depth < 0 or leaf_size < 1:
         raise SceneError("max_depth must be >= 0 and leaf_size >= 1")
     splitter = _SPLITTERS[method]
-    tri_bounds = [tri.bounds() for tri in triangles]
-    world = AABB.empty()
-    for box in tri_bounds:
-        world = world.union(box)
+    # Triangle bounds and the world box, reduced over the vertex array:
+    # vertices[i] holds triangle i's a, b, c rows.
+    vertices = np.array([(tri.a, tri.b, tri.c) for tri in triangles],
+                        dtype=np.float64)
+    lo = vertices.min(axis=1)
+    hi = vertices.max(axis=1)
+    world = AABB(lo.min(axis=0), hi.max(axis=0))
     world = world.grown(max(bounds_eps, bounds_eps * float(np.max(world.extent))))
     # Per-axis float lists of the triangle bounds: tri_lo[axis][i].
-    tri_lo = np.stack([box.lo for box in tri_bounds]).T.tolist()
-    tri_hi = np.stack([box.hi for box in tri_bounds]).T.tolist()
+    tri_lo = lo.T.tolist()
+    tri_hi = hi.T.tolist()
 
     def build(lo: list[float], hi: list[float], indices: list[int],
               depth: int) -> KDNode:

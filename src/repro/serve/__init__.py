@@ -29,7 +29,6 @@ _EXPORTS = {
     "ReproServer": "server",
     "ServeClient": "client",
     "ShardManifest": "manifest",
-    "SimulateRequest": "wire",
     "SweepRequest": "wire",
     "WIRE_SCHEMA": "wire",
     "from_wire": "wire",
@@ -59,7 +58,6 @@ __all__ = [
     "ReproServer",
     "ServeClient",
     "ShardManifest",
-    "SimulateRequest",
     "SweepRequest",
     "WIRE_SCHEMA",
     "from_wire",

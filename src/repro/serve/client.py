@@ -71,10 +71,10 @@ class ServeClient:
     def submit(self, request) -> dict:
         """POST one request; returns the job status (with ``id``).
 
-        ``request`` may be a :class:`~repro.serve.wire.SimulateRequest`,
-        a :class:`~repro.serve.wire.SweepRequest`, or an already-encoded
-        wire record. A resubmission of an identical request comes back
-        with ``deduplicated: true`` and the original job's id.
+        ``request`` is a :class:`~repro.serve.wire.SweepRequest` (one
+        simulation is a one-job request) or an already-encoded wire
+        record. A resubmission of an identical request comes back with
+        ``deduplicated: true`` and the original job's id.
         """
         record = request if isinstance(request, dict) \
             else wire.request_to_wire(request)

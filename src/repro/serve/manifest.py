@@ -43,13 +43,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.errors import ConfigError, SweepError
-from repro.harness.sweep import (
-    FailedJob,
-    JobResult,
-    RetryPolicy,
-    SweepJob,
-    _check_duplicate_jobs,
-)
+from repro.harness.runner import RunResult, SweepJob
+from repro.harness.sweep import FailedJob, RetryPolicy, _check_duplicate_jobs
 from repro.serve import wire
 
 #: How often the driver re-reads the manifest while its workers run.
@@ -100,7 +95,7 @@ class ManifestState:
                 return job
         return None
 
-    def outcome(self, job: SweepJob) -> JobResult | FailedJob | None:
+    def outcome(self, job: SweepJob) -> RunResult | FailedJob | None:
         """The settled outcome of ``job`` in this campaign (result wins)."""
         ident = self.ident(job)
         if ident in self.results:
@@ -111,7 +106,7 @@ class ManifestState:
         return FailedJob(job=job, attempts=int(record["attempts"]),
                          kind=record["failure_kind"], error=record["error"])
 
-    def cached_result(self, job: SweepJob) -> JobResult | None:
+    def cached_result(self, job: SweepJob) -> RunResult | None:
         """A result for ``job`` anywhere in the file, or None if absent or
         unreadable (schema drift re-simulates rather than fails)."""
         record = self.history.get(self.ident(job))
@@ -229,7 +224,7 @@ class ShardManifest:
         state = self.load()
         return state.claims.get(ManifestState.ident(job)) == str(worker)
 
-    def record_result(self, result: JobResult) -> None:
+    def record_result(self, result: RunResult) -> None:
         self._append(wire.result_to_wire(result))
 
     def record_failure(self, job: SweepJob, kind: str, error: str,
@@ -252,7 +247,7 @@ def worker_command(manifest_path: str | pathlib.Path,
 def drive_workers(manifest: ShardManifest, jobs: list[SweepJob],
                   workers: int, retry: RetryPolicy,
                   emit: Callable[[str], None],
-                  settle: Callable[[SweepJob, JobResult | FailedJob], None]
+                  settle: Callable[[SweepJob, RunResult | FailedJob], None]
                   ) -> None:
     """Run ``jobs`` on ``workers`` local ``repro worker`` processes.
 

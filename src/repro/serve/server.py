@@ -1,8 +1,7 @@
 """The ``repro serve`` job daemon: simulations over a versioned HTTP API.
 
-A stdlib-only (``http.server``) daemon that accepts the same
-scene/mode/preset/ray-kind/config-override surface as
-:func:`repro.api.simulate` and :func:`repro.api.sweep`, runs each
+A stdlib-only (``http.server``) daemon that accepts the job specs of
+:func:`repro.api.sweep` (one simulation is a one-job sweep), runs each
 submission on a worker thread, and answers with the versioned
 ``repro-wire/1`` payloads (:mod:`repro.serve.wire`):
 
@@ -10,11 +9,10 @@ submission on a worker thread, and answers with the versioned
 endpoint                     behaviour
 ===========================  ===============================================
 ``GET  /v1/ping``            liveness + schema negotiation
-``POST /v1/jobs``            submit a ``simulate-request`` or
-                             ``sweep-request`` wire record; answers with the
-                             job status (``202``, or ``200`` when the same
-                             request was already submitted — dedup by
-                             content digest)
+``POST /v1/jobs``            submit a ``sweep-request`` wire record;
+                             answers with the job status (``202``, or
+                             ``200`` when the same request was already
+                             submitted — dedup by content digest)
 ``GET  /v1/jobs``            list job statuses
 ``GET  /v1/jobs/<id>``       one job's status
 ``GET  /v1/jobs/<id>/events``  NDJSON progress stream; follows a running
@@ -75,8 +73,7 @@ class Job:
 
     id: str
     digest: str
-    kind: str                      # "simulate-request" | "sweep-request"
-    request: object                # SimulateRequest | SweepRequest
+    request: wire.SweepRequest
     state: str = "queued"          # queued | running | done | failed
     error: str | None = None
     cached_jobs: int = 0
@@ -91,7 +88,6 @@ class Job:
             "kind": "job-status",
             "id": self.id,
             "digest": self.digest,
-            "request_kind": self.kind,
             "state": self.state,
             "error": self.error,
             "total_jobs": self.total_jobs,
@@ -140,10 +136,8 @@ class JobManager:
                 return existing, True
             self._counter += 1
             job = Job(id=f"job-{self._counter:04d}-{digest[:8]}",
-                      digest=digest,
-                      kind=record.get("kind", "simulate-request"),
-                      request=request)
-            job.total_jobs = len(self._sweep_jobs(request))
+                      digest=digest, request=request)
+            job.total_jobs = len(request.jobs)
             self._jobs[job.id] = job
             self._by_digest[digest] = job
         if self.inline:
@@ -154,12 +148,6 @@ class JobManager:
                                       name=f"repro-serve-{job.id}")
             thread.start()
         return job, False
-
-    @staticmethod
-    def _sweep_jobs(request) -> list:
-        if isinstance(request, wire.SimulateRequest):
-            return [request.to_job()]
-        return list(request.jobs)
 
     def _checkpoint_path(self, digest: str) -> pathlib.Path:
         if self.checkpoint_dir is not None:
@@ -187,7 +175,7 @@ class JobManager:
 
     def _execute(self, job: Job) -> None:
         request = job.request
-        sweep_jobs = self._sweep_jobs(request)
+        sweep_jobs = list(request.jobs)
         checkpoint = self._checkpoint_path(job.digest)
         state = ShardManifest(checkpoint).load()
         job.cached_jobs = sum(
@@ -198,14 +186,9 @@ class JobManager:
                 f"{job.cached_jobs}/{len(sweep_jobs)} job(s) already "
                 f"checkpointed; serving them without re-execution")
 
-        retry = RetryPolicy()
-        jobs_n = 1
-        if isinstance(request, wire.SweepRequest):
-            retry = RetryPolicy(max_attempts=request.retries,
-                                timeout_seconds=request.job_timeout)
-            jobs_n = request.jobs_n
-
-        results = run_sweep(sweep_jobs, jobs_n=jobs_n,
+        retry = RetryPolicy(max_attempts=request.retries,
+                            timeout_seconds=request.job_timeout)
+        results = run_sweep(sweep_jobs, jobs_n=request.jobs_n,
                             progress=job.events.emit, strict=False,
                             retry=retry, checkpoint=checkpoint, resume=True)
 

@@ -25,13 +25,13 @@ claim              a worker's bid to run one attempt of a job
                    per retry
 requeue            the driver reopened a job whose worker died or hung
                    (``failure_kind`` crash|timeout); the attempt counts
-result             a completed :class:`~repro.harness.sweep.JobResult`:
+result             a completed :class:`~repro.harness.runner.RunResult`:
                    job key/digest + the versioned ``RunStats.to_dict``
                    payload (bit-identical round trip)
 failure            a quarantined job; final within its run
-simulate-request   one ``api.simulate`` call by value
 sweep-request      one ``api.sweep`` call by value (a list of job specs
-                   plus the worker count and retry policy)
+                   plus the worker count and retry policy); one simulation
+                   is a one-job sweep request
 =================  =========================================================
 
 Torn or foreign lines parse to ``None``, never raise — append-only files
@@ -45,7 +45,8 @@ import json
 from dataclasses import asdict, dataclass, fields
 
 from repro.errors import ConfigError, did_you_mean
-from repro.harness.sweep import JobResult, RetryPolicy, SweepJob
+from repro.harness.runner import RunResult, SweepJob
+from repro.harness.sweep import RetryPolicy
 from repro.simt.gpu import RunStats
 
 #: Schema tag carried by every wire record.
@@ -55,33 +56,8 @@ _JOB_FIELDS = tuple(f.name for f in fields(SweepJob))
 
 
 @dataclass(frozen=True)
-class SimulateRequest:
-    """One ``api.simulate`` call, by value (the server-side job spec).
-
-    Mirrors the keyword surface of :func:`repro.api.simulate` minus the
-    things that cannot travel (a prepared ``Workload`` object, a live
-    ``TraceSession``).
-    """
-
-    scene: str
-    mode: str
-    preset: str = "fast"
-    ray_kind: str = "primary"
-    seed: int = 0
-    max_cycles: int | None = None
-    fast_forward: bool | None = None
-
-    def to_job(self) -> SweepJob:
-        """The equivalent sweep job (one request == a one-job sweep)."""
-        return SweepJob(scene=self.scene, mode=self.mode, preset=self.preset,
-                        ray_kind=self.ray_kind, seed=self.seed,
-                        max_cycles=self.max_cycles,
-                        fast_forward=self.fast_forward)
-
-
-@dataclass(frozen=True)
 class SweepRequest:
-    """One ``api.sweep`` call, by value.
+    """One ``api.sweep`` call, by value; one simulation is a one-job request.
 
     ``jobs_n`` is the worker count (the ``--jobs`` knob: above 1 the sweep
     runs on that many ``repro worker`` processes). ``retries`` and
@@ -131,7 +107,7 @@ def requeue_to_wire(job: SweepJob, worker: str, kind: str,
             "failure_kind": str(kind), "error": str(error)}
 
 
-def result_to_wire(result: JobResult) -> dict:
+def result_to_wire(result: RunResult) -> dict:
     """A completed job, embedding the versioned ``RunStats`` payload.
 
     Carries the full job spec too, so a result line can be rehydrated
@@ -159,11 +135,7 @@ def failure_to_wire(job: SweepJob, kind: str, error: str,
             "error": str(error), "attempts": int(attempts)}
 
 
-def request_to_wire(request: SimulateRequest | SweepRequest) -> dict:
-    if isinstance(request, SimulateRequest):
-        record = {"schema": WIRE_SCHEMA, "kind": "simulate-request"}
-        record.update(asdict(request))
-        return record
+def request_to_wire(request: SweepRequest) -> dict:
     if isinstance(request, SweepRequest):
         return {
             "schema": WIRE_SCHEMA,
@@ -180,16 +152,16 @@ def to_wire(obj) -> dict:
     """Encode any wire-capable object as a ``repro-wire/1`` record."""
     if isinstance(obj, SweepJob):
         return job_to_wire(obj)
-    if isinstance(obj, JobResult):
+    if isinstance(obj, RunResult):
         return result_to_wire(obj)
-    if isinstance(obj, (SimulateRequest, SweepRequest)):
+    if isinstance(obj, SweepRequest):
         return request_to_wire(obj)
     if isinstance(obj, RunStats):
         return {"schema": WIRE_SCHEMA, "kind": "stats",
                 "stats": obj.to_dict()}
     raise ConfigError(
         f"cannot encode {type(obj).__name__} as a wire record; expected "
-        f"SweepJob, JobResult, SimulateRequest, SweepRequest, or RunStats")
+        f"SweepJob, RunResult, SweepRequest, or RunStats")
 
 
 def dump_line(obj) -> str:
@@ -248,7 +220,7 @@ def _result_field(record: dict, name: str, convert):
             f"{record[name]!r} ({type(exc).__name__}: {exc})") from None
 
 
-def result_from_wire(record: dict, job: SweepJob | None = None) -> JobResult:
+def result_from_wire(record: dict, job: SweepJob | None = None) -> RunResult:
     """Rehydrate a result record; ``RunStats`` round-trips bit-identically.
 
     ``job`` overrides the embedded spec (the resume path matches records
@@ -261,7 +233,7 @@ def result_from_wire(record: dict, job: SweepJob | None = None) -> JobResult:
         if embedded is None:
             raise ConfigError("result record embeds no job spec; pass job=")
         job = _dataclass_from(SweepJob, dict(embedded), what="job")
-    return JobResult(job=job,
+    return RunResult(job=job,
                      stats=_result_field(record, "stats", RunStats.from_dict),
                      num_rays=_result_field(record, "num_rays", int),
                      verified=_result_field(record, "verified", bool),
@@ -275,13 +247,14 @@ def retry_from_wire(record: dict) -> RetryPolicy:
                            what="retry policy")
 
 
-def request_from_wire(record: dict) -> SimulateRequest | SweepRequest:
+def request_from_wire(record: dict) -> SweepRequest:
     kind = record.get("kind")
     body = {key: value for key, value in record.items()
             if key not in ("schema", "kind")}
     if kind == "simulate-request":
-        return _dataclass_from(SimulateRequest, body,
-                               what="simulate request")
+        raise ConfigError(
+            "simulate-request records are no longer accepted; send one "
+            "simulation as a sweep-request with a one-job 'jobs' list")
     if kind == "sweep-request":
         jobs = body.pop("jobs", None)
         if not jobs:
@@ -348,7 +321,7 @@ def record_key(record: dict) -> tuple:
     return (tuple(record["key"]), record["digest"])
 
 
-def request_digest(request: SimulateRequest | SweepRequest | dict) -> str:
+def request_digest(request: SweepRequest | dict) -> str:
     """Content hash identifying a service request.
 
     Two submissions with byte-identical canonical wire encodings get the

@@ -24,7 +24,7 @@ import time
 from typing import Callable
 
 from repro.errors import ConfigError
-from repro.harness.sweep import JobResult, run_job
+from repro.harness.sweep import FailedJob, run_job
 from repro.results.store import maybe_record
 from repro.serve.manifest import ManifestState, ShardManifest
 
@@ -86,7 +86,11 @@ def run_worker(manifest_path, worker: str | None = None,
         emit(f"[{ident}] claimed {job.describe()}")
         outcome = run_job(job, state.retry, emit, first_attempt=used + 1,
                           on_retry=lambda: manifest.claim(job, ident))
-        if isinstance(outcome, JobResult):
+        if isinstance(outcome, FailedJob):
+            manifest.record_failure(job, outcome.kind, outcome.error,
+                                    attempts=outcome.attempts)
+            emit(f"[{ident}] {outcome.describe()}")
+        else:
             # Opt-in results warehouse first (no-op without
             # REPRO_RESULTS_DIR): once the result line lands the driver
             # may stop this worker.
@@ -94,10 +98,6 @@ def run_worker(manifest_path, worker: str | None = None,
             manifest.record_result(outcome)
             emit(f"[{ident}] {job.describe()}  {outcome.stats.cycles} "
                  f"cycles  {outcome.wall_seconds:.2f}s")
-        else:
-            manifest.record_failure(job, outcome.kind, outcome.error,
-                                    attempts=outcome.attempts)
-            emit(f"[{ident}] {outcome.describe()}")
         executed += 1
 
 

@@ -62,6 +62,8 @@ class DWFResult:
     stats: SMStats
     divergence: DivergenceSampler
     rays_completed: int
+    #: Lanes per issue group: the denominator of SIMT efficiency.
+    warp_size: int
 
     @property
     def ipc(self) -> float:
@@ -73,9 +75,7 @@ class DWFResult:
         if not issued:
             return 0.0
         return (self.stats.committed_thread_instructions
-                / (issued * self._warp_size))
-
-    _warp_size: int = 32
+                / (issued * self.warp_size))
 
     def rays_per_second(self, config: GPUConfig,
                         scale_to_sms: int | None = None) -> float:
@@ -242,8 +242,8 @@ def run_dwf(config: GPUConfig, program, entry_kernel: str,
         cycle = run_core(core, 0, budget)
     core.stats.dram_read_bytes = dram.read_bytes
     core.stats.dram_write_bytes = dram.write_bytes
-    result = DWFResult(cycles=cycle, stats=core.stats,
-                       divergence=core.divergence,
-                       rays_completed=global_mem.rays_completed)
-    result._warp_size = config.warp_size
-    return result
+    core.stats.dram_transactions = dram.transactions
+    return DWFResult(cycles=cycle, stats=core.stats,
+                     divergence=core.divergence,
+                     rays_completed=global_mem.rays_completed,
+                     warp_size=config.warp_size)

@@ -1,7 +1,9 @@
 """Ablation experiment functions and CSV export (tiny preset)."""
 
 import csv
+import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.harness import experiments
@@ -46,6 +48,30 @@ class TestAblationPersistent:
         rows = {row["approach"]: row for row in data["rows"]}
         assert (rows["dynamic µ-kernels"]["efficiency"]
                 > rows["grid launch (PDOM)"]["efficiency"])
+
+
+def with_moved_t(workload):
+    """The workload with every reference ``t`` moved (misses included)
+    and every reference triangle kept."""
+    reference = workload.reference
+    t = np.where(np.isinf(reference.t), 1.0, reference.t + 1.0)
+    return dataclasses.replace(
+        workload, reference=dataclasses.replace(reference, t=t))
+
+
+@pytest.mark.parametrize("name,row", (
+    ("ablation_dwf", "DWF (idealized)"),
+    ("ablation_persistent", "persistent threads")))
+def test_ablation_checks_t_as_well_as_triangle(preset, workload, name, row):
+    """The ablations verify with run_mode's check, so a completed ray
+    whose ``t`` disagrees with the reference fails even when its triangle
+    matches (the unchanged workload verifies: see the classes above)."""
+    short = dataclasses.replace(preset, max_cycles=120_000)
+    data = getattr(experiments, name)(short, with_moved_t(workload))
+    rows = {entry.get("mechanism", entry.get("approach")): entry
+            for entry in data["rows"]}
+    assert rows[row]["rays_done"] > 0
+    assert not data["verified"]
 
 
 class TestCSVExport:

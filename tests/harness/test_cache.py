@@ -107,6 +107,23 @@ class TestRoundtrip:
         assert_workloads_identical(
             gi, build_workload(SCENE, preset, ray_kind="gi", seed=3))
 
+    @pytest.mark.parametrize("ray_kind", ("primary", "shadow", "reflection",
+                                          "gi", "path"))
+    def test_fresh_build_and_disk_load_carry_one_seed(self, tmp_path,
+                                                      preset, ray_kind):
+        """The seed is part of the cache key, and run_mode takes a
+        result's seed from the workload: a fresh build must report the
+        seed it was built for, as the same batch loaded from disk does."""
+        fresh = WorkloadCache(tmp_path).workload(SCENE, preset,
+                                                 ray_kind=ray_kind, seed=3)
+        reader = WorkloadCache(tmp_path)
+        loaded = reader.workload(SCENE, preset, ray_kind=ray_kind, seed=3)
+        assert reader.stats.disk_hits == 1
+        assert fresh.seed == loaded.seed == 3
+        assert_workloads_identical(fresh, loaded)
+        uncached = build_workload(SCENE, preset, ray_kind=ray_kind, seed=3)
+        assert uncached.seed == 3
+
 
 class TestMemoryLRU:
     def test_second_lookup_hits_memory(self, tmp_path, preset):

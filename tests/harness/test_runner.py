@@ -105,11 +105,9 @@ class TestRunMode:
 
     def test_zero_ray_workload_completed_fraction(self, tiny_workload):
         import dataclasses
-        import types
 
         result = run_mode("pdom_warp", tiny_workload, max_cycles=200)
-        empty = dataclasses.replace(
-            result, workload=types.SimpleNamespace(num_rays=0))
+        empty = dataclasses.replace(result, num_rays=0)
         assert empty.completed_fraction == 0.0
 
 

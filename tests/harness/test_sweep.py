@@ -12,16 +12,16 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import time
 
 import pytest
 
 from repro.errors import ConfigError, SchedulingError
 from repro.harness.cache import default_cache
 from repro.harness.presets import get_preset
-from repro.harness.runner import prepare_workload, run_mode
+from repro.harness.runner import RunResult, prepare_workload, run_mode
 from repro.harness import sweep as sweep_module
 from repro.harness.sweep import (
-    JobResult,
     RetryPolicy,
     SweepJob,
     SweepResults,
@@ -145,9 +145,64 @@ class TestSweepResults:
 
     def test_zero_ray_completed_fraction(self, serial_results):
         sample = serial_results.results[0]
-        empty = JobResult(job=sample.job, stats=sample.stats, num_rays=0,
+        empty = RunResult(job=sample.job, stats=sample.stats, num_rays=0,
                           verified=True, wall_seconds=0.0)
         assert empty.completed_fraction == 0.0
+
+    def test_result_job_is_the_swept_job(self, serial_results):
+        """run_mode derives each result's job from the workload; it must
+        be the job the sweep ran, or manifests could not match it."""
+        assert [result.job for result in serial_results] == sweep_jobs()
+        seeded = [SweepJob(scene="conference", mode="pdom_block",
+                           preset="tiny", ray_kind=ray_kind, seed=3,
+                           max_cycles=2_000)
+                  for ray_kind in ("primary", "gi")]
+        assert [result.job for result in run_sweep(seeded, jobs_n=1)] \
+            == seeded
+
+    def test_wall_seconds_exclude_workload_preparation(self, monkeypatch):
+        """The sweep times run_mode's body only, as api.simulate does: a
+        slow workload load does not show up in the result's wall time."""
+        delay = 0.5
+        real_prepare = sweep_module.prepare_workload
+
+        def slow_prepare(*args, **kwargs):
+            time.sleep(delay)
+            return real_prepare(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "prepare_workload", slow_prepare)
+        job = SweepJob(scene="conference", mode="pdom_block", preset="tiny",
+                       max_cycles=2_000)
+        started = time.perf_counter()
+        (result,) = run_sweep([job], jobs_n=1)
+        assert time.perf_counter() - started >= delay
+        assert 0.0 < result.wall_seconds < delay
+
+
+class TestSweepJob:
+    def test_digest_is_pinned(self):
+        """Manifests and warehouse records on disk key on this digest."""
+        job = SweepJob("conference", "pdom_block", "tiny")
+        assert job.config_digest() == "1123ed5680fdc80c"
+
+    def test_explicit_fast_clock_is_the_default_job(self):
+        """The fast clock is the default, so ``fast_forward=True`` and an
+        unset clock name one configuration: equal, one key, one digest."""
+        default = SweepJob("conference", "pdom_block", "tiny")
+        explicit = SweepJob("conference", "pdom_block", "tiny",
+                            fast_forward=True)
+        assert explicit == default
+        assert hash(explicit) == hash(default)
+        assert explicit.key == default.key
+        assert explicit.config_digest() == default.config_digest()
+        assert explicit.fast_forward is None
+
+    def test_exact_clock_is_its_own_job(self):
+        default = SweepJob("conference", "pdom_block", "tiny")
+        exact = SweepJob("conference", "pdom_block", "tiny",
+                         fast_forward=False)
+        assert exact != default
+        assert exact.config_digest() != default.config_digest()
 
 
 class TestCheckpointResume:

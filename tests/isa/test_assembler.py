@@ -1,8 +1,15 @@
 """Assembler / disassembler tests."""
 
+import dataclasses
+import pathlib
+import struct
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import AssemblerError
+from repro.fuzz.corpus import load_case
+from repro.fuzz.generator import make_case
 from repro.isa import assemble, disassemble
 
 MINIMAL = """
@@ -200,3 +207,39 @@ SKIP:
             assert a.op == b.op
             assert a.target == b.target
             assert a.offset == b.offset
+
+
+def bit_exact(program):
+    """``program`` as comparable values, each immediate by its bits:
+    under ``==``, ``-0.0`` equals ``0.0`` and NaN equals nothing."""
+    def operand(op):
+        if op is not None and op.kind == "imm":
+            return ("imm", struct.pack("<d", op.value))
+        return op
+
+    instructions = [
+        dataclasses.replace(inst, dst=None, srcs=())
+        for inst in program.instructions]
+    operands = [(operand(inst.dst), tuple(map(operand, inst.srcs)))
+                for inst in program.instructions]
+    return instructions, operands, program.labels, program.kernels
+
+
+NEGATIVE_ZERO_CASE = (pathlib.Path(__file__).parents[1] / "fuzz" / "corpus"
+                      / "negative-zero-immediate.json")
+
+
+class TestRoundTripBitExact:
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=161)  # a ``mul r7, r2, -0.0``
+    @settings(max_examples=60, deadline=None)
+    def test_fuzzer_programs_round_trip(self, seed):
+        program = make_case(seed).program
+        assert bit_exact(assemble(disassemble(program))) \
+            == bit_exact(program)
+
+    def test_negative_zero_divisor_keeps_its_sign(self):
+        program = load_case(str(NEGATIVE_ZERO_CASE)).program
+        assert "div r4, 1, -0.0;" in disassemble(program)
+        assert bit_exact(assemble(disassemble(program))) \
+            == bit_exact(program)

@@ -21,8 +21,10 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.harness import runner
 from repro.harness.presets import get_preset
 from repro.harness.runner import build_bfs_workload, run_mode
 from repro.workloads import GRAPH_SCENES, make_graph, reference_bfs
@@ -65,6 +67,21 @@ def test_reference_bfs_is_a_valid_labelling(name, seed, detail):
         assert min(levels[u] for u in preds) == levels[v] - 1
 
 
+def run_with_image(mode, workload):
+    """``run_mode`` plus the memory image the run wrote its results to."""
+    images = []
+    build = runner.image_for_workload
+
+    def capture(workload):
+        images.append(build(workload))
+        return images[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "image_for_workload", capture)
+        result = run_mode(mode, workload)
+    return result, images[0]
+
+
 #: (mode, worker-pool bound) pairs: a pool smaller than the vertex count,
 #: one larger, and the spawn layout in between — three different visit
 #: orders over the same frontier worklist.
@@ -81,8 +98,8 @@ def test_visits_equal_reachable_set_for_any_schedule(name, seed):
                          image_height=height)
         workload = build_bfs_workload(name, preset, seed=seed)
         reachable = np.isfinite(workload.reference.t)
-        result = run_mode(mode, workload)
-        level, flag = result.image.results()
+        result, image = run_with_image(mode, workload)
+        level, flag = image.results()
         visited = ~np.isnan(level)
         # Visited set == reachable set, so the visit count is pinned.
         assert np.array_equal(visited, reachable), (name, seed, mode)

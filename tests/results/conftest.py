@@ -27,5 +27,5 @@ def tiny_job(mode: str = "spawn", seed: int = 0) -> SweepJob:
 
 @pytest.fixture(scope="package")
 def job_result(isolated_cache):
-    """One real executed JobResult, shared by the whole package."""
+    """One real executed RunResult, shared by the whole package."""
     return execute_job(tiny_job())

@@ -10,7 +10,7 @@ import pytest
 
 from repro import api
 from repro.errors import ConfigError
-from repro.harness.sweep import execute_job, run_sweep
+from repro.harness.sweep import SweepJob, execute_job, run_sweep
 from repro.results.store import (
     RESULTS_SCHEMA,
     ResultsStore,
@@ -60,8 +60,8 @@ class TestRunRecord:
     def test_run_result_and_job_result_share_identity(
             self, job_result, tmp_path, monkeypatch):
         """api.simulate's hook records the same job/config digest that an
-        identically-configured sweep job does (simulate passes its full
-        config — max_cycles included — as an explicit job spec)."""
+        identically-configured sweep job does (run_mode derives the job
+        from its arguments — max_cycles included — and the workload)."""
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "ws"))
         api.simulate("conference", "spawn", preset="tiny",
                      max_cycles=30_000)
@@ -71,6 +71,20 @@ class TestRunRecord:
         assert from_run["run_stats_digest"] == from_job["run_stats_digest"]
         assert from_run["key"] == from_job["key"]
         assert from_run["job"] == from_job["job"]
+
+    def test_run_and_sweep_record_one_digest(self, tmp_path, monkeypatch):
+        """``repro run`` passes the fast clock explicitly and a sweep
+        leaves it unset: one configuration, so one recorded digest."""
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "ws"))
+        api.simulate("conference", "pdom_block", preset="tiny",
+                     max_cycles=5_000, fast_forward=True)
+        run_sweep([SweepJob(scene="conference", mode="pdom_block",
+                            preset="tiny", max_cycles=5_000)], jobs_n=1)
+        run, swept = ResultsStore(tmp_path / "ws").load()
+        assert run["provenance"]["source"] == "simulate"
+        assert swept["provenance"]["source"] == "sweep"
+        assert run["config_digest"] == swept["config_digest"]
+        assert run["job"] == swept["job"]
 
     def test_byte_identical_modulo_volatile_fields(self, job_result):
         """Two identical executions → byte-identical stable sections."""

@@ -25,12 +25,14 @@ from repro.errors import ServeError
 from repro.harness.sweep import SweepJob, run_stats_digest
 from repro.serve.client import ServeClient
 from repro.serve.server import JobManager, ReproServer
-from repro.serve.wire import WIRE_SCHEMA, SimulateRequest, SweepRequest
+from repro.serve.wire import WIRE_SCHEMA, SweepRequest
 
 MAX_CYCLES = 20_000
 
-SIM = SimulateRequest(scene="conference", mode="spawn", preset="tiny",
-                      max_cycles=MAX_CYCLES)
+#: One simulation: a one-job sweep request, as ``repro submit`` sends it.
+SIM_JOB = SweepJob(scene="conference", mode="spawn", preset="tiny",
+                   max_cycles=MAX_CYCLES)
+SIM = SweepRequest(jobs=(SIM_JOB,))
 
 
 def sweep_jobs():
@@ -86,14 +88,22 @@ class TestEndpoints:
             client.submit({"schema": WIRE_SCHEMA, "kind": "claim"})
         assert info.value.status == 400
 
+    def test_simulate_request_400s_naming_sweep_request(self, client):
+        record = {"schema": WIRE_SCHEMA, "kind": "simulate-request",
+                  "scene": "conference", "mode": "spawn", "preset": "tiny"}
+        with pytest.raises(ServeError, match="sweep-request") as info:
+            client.submit(record)
+        assert info.value.status == 400
+
 
 class TestSimulateJob:
     def test_submit_poll_result_matches_api(self, client):
         answer = client.run(SIM, timeout=300)
         assert answer["state"] == "done"
         (record,) = answer["results"]
-        reference = api.simulate(SIM.scene, SIM.mode, preset=SIM.preset,
-                                 max_cycles=SIM.max_cycles)
+        reference = api.simulate(SIM_JOB.scene, SIM_JOB.mode,
+                                 preset=SIM_JOB.preset,
+                                 max_cycles=SIM_JOB.max_cycles)
         assert record["run_stats_digest"] \
             == run_stats_digest(reference.stats)
         assert record["stats"] == reference.stats.to_dict()
@@ -132,10 +142,10 @@ class TestSimulateJob:
         # the 409 path is exercised without racing a real execution.
         from repro.serve.server import Job
 
-        request = SimulateRequest(scene="conference", mode="pdom_warp",
-                                  preset="tiny", max_cycles=1)
-        job = Job(id="job-held-0000", digest="0" * 16,
-                  kind="simulate-request", request=request)
+        request = SweepRequest(jobs=(SweepJob(
+            scene="conference", mode="pdom_warp", preset="tiny",
+            max_cycles=1),))
+        job = Job(id="job-held-0000", digest="0" * 16, request=request)
         with server.manager._lock:
             server.manager._jobs[job.id] = job
         with pytest.raises(ServeError, match="still queued") as info:
@@ -186,8 +196,9 @@ class TestSweepJobAndCache:
         monkeypatch.setenv("REPRO_FAULT_SPEC",
                            "exception@fairyforest:pdom_block*9")
         monkeypatch.setenv("REPRO_FAULT_DIR", str(tmp_path / "faults"))
-        request = SimulateRequest(scene="fairyforest", mode="pdom_block",
-                                  preset="tiny", max_cycles=MAX_CYCLES)
+        request = SweepRequest(jobs=(SweepJob(
+            scene="fairyforest", mode="pdom_block", preset="tiny",
+            max_cycles=MAX_CYCLES),))
         status = client.submit(request)
         final = client.wait(status["id"], timeout=300)
         assert final["state"] == "failed"

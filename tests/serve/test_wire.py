@@ -9,6 +9,7 @@ HTTP API use.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -18,7 +19,7 @@ from repro.errors import ConfigError
 from repro.harness.sweep import RetryPolicy, SweepJob
 from repro.serve import wire
 from repro.serve.manifest import ShardManifest
-from repro.serve.wire import SimulateRequest, SweepRequest
+from repro.serve.wire import SweepRequest
 
 SCENES = ("conference", "fairyforest", "atrium")
 MODES = ("pdom_block", "pdom_warp", "spawn", "spawn_conflicts")
@@ -35,15 +36,16 @@ jobs_st = st.builds(
     fast_forward=st.none() | st.booleans(),
 )
 
-simulate_requests_st = st.builds(
-    SimulateRequest,
-    scene=st.sampled_from(SCENES),
-    mode=st.sampled_from(MODES),
-    preset=st.sampled_from(("tiny", "fast")),
-    ray_kind=st.sampled_from(RAY_KINDS),
-    seed=st.integers(0, 2**16),
-    max_cycles=st.none() | st.integers(1, 10**6),
-)
+#: One simulation, as ``repro submit`` and ``ServeClient`` send it.
+one_job_requests_st = jobs_st.map(lambda job: SweepRequest(jobs=(job,)))
+
+#: A ``simulate-request`` record as earlier builds wrote it.
+LEGACY_SIMULATE_REQUEST = {
+    "schema": wire.WIRE_SCHEMA, "kind": "simulate-request",
+    "scene": "conference", "mode": "spawn", "preset": "fast",
+    "ray_kind": "primary", "seed": 0, "max_cycles": None,
+    "fast_forward": None,
+}
 
 sweep_requests_st = st.builds(
     SweepRequest,
@@ -76,19 +78,21 @@ class TestJobRoundTrip:
             wire.job_from_wire(record)
 
     def test_unknown_request_field_gets_a_suggestion(self):
-        record = wire.request_to_wire(
-            SimulateRequest(scene="conference", mode="spawn"))
-        record["max_cycle"] = 5_000
+        record = wire.request_to_wire(SweepRequest(jobs=(
+            SweepJob(scene="conference", mode="spawn", preset="fast"),)))
+        record["jobs"][0]["max_cycle"] = 5_000
         with pytest.raises(ConfigError, match="Did you mean 'max_cycles'"):
             wire.request_from_wire(record)
 
 
 class TestRequestRoundTrip:
-    @given(simulate_requests_st)
+    @given(one_job_requests_st)
     @settings(max_examples=100, deadline=None)
-    def test_simulate_request_round_trips(self, request):
+    def test_one_job_sweep_request_round_trips(self, request):
         record = wire.parse_line(wire.dump_line(request))
         assert wire.from_wire(record) == request
+        (job,) = wire.from_wire(record).jobs
+        assert job.config_digest() == request.jobs[0].config_digest()
 
     @given(sweep_requests_st)
     @settings(max_examples=100, deadline=None)
@@ -96,24 +100,21 @@ class TestRequestRoundTrip:
         record = wire.parse_line(wire.dump_line(request))
         assert wire.from_wire(record) == request
 
-    @given(simulate_requests_st)
+    @given(one_job_requests_st)
     @settings(max_examples=100, deadline=None)
     def test_request_digest_is_stable_and_content_addressed(self, request):
         direct = wire.request_digest(request)
         reencoded = wire.request_digest(
             wire.parse_line(wire.dump_line(request)))
         assert direct == reencoded
-        different = wire.request_digest(
-            SimulateRequest(**{**request.__dict__, "seed": request.seed + 1}))
+        (job,) = request.jobs
+        different = wire.request_digest(SweepRequest(
+            jobs=(dataclasses.replace(job, seed=job.seed + 1),)))
         assert different != direct
 
-    @given(simulate_requests_st)
-    @settings(max_examples=50, deadline=None)
-    def test_simulate_request_to_job_preserves_every_field(self, request):
-        job = request.to_job()
-        for name in ("scene", "mode", "preset", "ray_kind", "seed",
-                     "max_cycles", "fast_forward"):
-            assert getattr(job, name) == getattr(request, name)
+    def test_simulate_request_record_names_sweep_request(self):
+        with pytest.raises(ConfigError, match="sweep-request"):
+            wire.from_wire(dict(LEGACY_SIMULATE_REQUEST))
 
     def test_empty_sweep_request_rejected(self):
         with pytest.raises(ConfigError, match="at least one job"):
@@ -169,11 +170,9 @@ class TestRemovedKnobs:
 
     @pytest.mark.parametrize("knob,value", REMOVED_KNOBS)
     def test_simulate_request_naming_a_removed_knob(self, knob, value):
-        record = wire.request_to_wire(
-            SimulateRequest(scene="conference", mode="spawn"))
+        record = dict(LEGACY_SIMULATE_REQUEST)
         record[knob] = value
-        with pytest.raises(ConfigError,
-                           match=f"unknown simulate request field '{knob}'"):
+        with pytest.raises(ConfigError, match="sweep-request"):
             wire.from_wire(record)
 
     @pytest.mark.parametrize("knob,value", REMOVED_KNOBS)

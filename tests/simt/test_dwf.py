@@ -81,6 +81,25 @@ class TestLoopKernel:
         assert result.rays_completed < 64
 
 
+    def test_dram_counters_agree(self):
+        """Every DRAM transaction moves one segment, so the transaction
+        count and the byte counters describe the same traffic."""
+        result, _, _ = run_loop()
+        stats = result.stats
+        segment = scaled_config(1).memory.segment_bytes
+        assert stats.dram_transactions > 0
+        assert stats.dram_transactions * segment \
+            == stats.dram_read_bytes + stats.dram_write_bytes
+
+    def test_efficiency_uses_the_configured_warp_size(self):
+        result, _, _ = run_loop(warp_size=16)
+        stats = result.stats
+        assert result.warp_size == 16
+        assert result.simt_efficiency == pytest.approx(
+            stats.committed_thread_instructions
+            / (stats.issued_instructions * 16))
+
+
 class TestRegrouping:
     def test_dwf_beats_pdom_on_incoherent_loop(self):
         """The Fung et al. claim: regrouping by PC recovers loop

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import pytest
@@ -40,13 +41,33 @@ class TestSimulate:
         result = api.simulate("conference", "pdom_warp", preset="tiny",
                               max_cycles=MAX_CYCLES)
         assert isinstance(result, RunResult)
-        assert result.mode == "pdom_warp"
+        assert result.job.mode == "pdom_warp"
         assert result.stats.cycles <= MAX_CYCLES
         assert result.trace is None
 
-    def test_workload_passthrough(self, workload):
+    def test_workload_passthrough(self, workload, monkeypatch):
+        """A prepared workload is simulated as-is, never prepared again."""
+        def no_prepare(*args, **kwargs):
+            raise AssertionError("simulate prepared a workload it was given")
+
+        monkeypatch.setattr(api, "prepare_workload", no_prepare)
         result = api.simulate(workload, "spawn", max_cycles=MAX_CYCLES)
-        assert result.workload is workload
+        assert result.job == api.SweepJob(
+            scene=workload.scene_name, mode="spawn",
+            preset=workload.preset.name, ray_kind=workload.ray_kind,
+            seed=workload.seed, max_cycles=MAX_CYCLES)
+        assert result.num_rays == workload.num_rays
+
+    def test_unregistered_preset(self, tmp_path, monkeypatch):
+        """A preset outside PRESETS is used as given: the recorded job
+        carries its name, and nothing looks the name up again."""
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "ws"))
+        preset = dataclasses.replace(get_preset("tiny"), name="tiny-custom")
+        result = api.simulate("conference", "pdom_warp", preset=preset,
+                              max_cycles=MAX_CYCLES)
+        assert result.job.preset == "tiny-custom"
+        [record] = api.ResultsStore(tmp_path / "ws").load()
+        assert record["job"]["preset"] == "tiny-custom"
 
     def test_probes_true_attaches_default_session(self, workload):
         result = api.simulate(workload, "spawn", max_cycles=MAX_CYCLES,
