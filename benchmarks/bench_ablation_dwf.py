@@ -7,14 +7,9 @@ kernel. We run an idealized lane-flexible DWF on the traditional kernel
 and compare all three mechanisms on the conference scene.
 """
 
-from repro.harness import experiments
 
-
-def bench_ablation_dwf(benchmark, preset, workloads, report):
-    workload = workloads("conference")
-    data = benchmark.pedantic(experiments.ablation_dwf,
-                              args=(preset, workload),
-                              rounds=1, iterations=1)
+def bench_ablation_dwf(figures, report):
+    data = figures["ablation_dwf"]
     report(data["render"])
     assert data["verified"]
     rows = {row["mechanism"]: row for row in data["rows"]}

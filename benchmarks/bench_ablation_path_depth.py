@@ -13,13 +13,11 @@ the budget), prepared through the persistent cache — the per-depth cache
 keys are exactly what tests/harness/test_cache_workloads.py locks down.
 
 Results land in ``BENCH_ablation_path_depth.json`` at the repo root
-(refresh with ``REPRO_UPDATE_BENCH=1``). Unlike the throughput benches,
-every recorded field here is a *simulation output* — cycles, efficiency,
-completed rays — so the committed numbers are machine-independent and are
-compared for **exact** equality, like a golden snapshot. Each refresh
-also upserts a per-revision ``history`` entry under the shared
-clean-vs-dirty rules (:mod:`repro.results.history`), so the file
-accumulates the efficiency trajectory across revisions.
+(refresh with ``REPRO_UPDATE_BENCH=1``). Every recorded field is a
+*simulation output* — cycles, efficiency, completed rays — so the
+committed numbers are machine-independent and are compared for **exact**
+equality, like a golden snapshot. Each preset's
+record is stamped with the git revision that refreshed it.
 """
 
 from __future__ import annotations
@@ -28,11 +26,10 @@ import dataclasses
 import json
 import os
 import pathlib
-import subprocess
 
 from repro.analysis.report import format_table
 from repro.api import prepare_workload, simulate
-from repro.results.history import upsert_history
+from repro.results import git_provenance
 
 SCENE = "conference"
 
@@ -49,26 +46,6 @@ MAX_CYCLES = 250_000
 #: Committed benchmark record, at the repo root next to ROADMAP.md.
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / \
     "BENCH_ablation_path_depth.json"
-
-
-def _git_rev() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=BENCH_PATH.parent, capture_output=True, text=True,
-            timeout=10, check=True).stdout.strip()
-    except Exception:
-        return "unknown"
-
-
-def _git_dirty() -> bool:
-    try:
-        return bool(subprocess.run(
-            ["git", "status", "--porcelain"],
-            cwd=BENCH_PATH.parent, capture_output=True, text=True,
-            timeout=10, check=True).stdout.strip())
-    except Exception:
-        return False
 
 
 def _run_grid(preset):
@@ -101,19 +78,6 @@ def _grid_document(rows) -> dict:
     return grid
 
 
-def _append_history(committed: dict, preset, rows) -> None:
-    entry = {
-        "git_rev": _git_rev(),
-        "dirty": _git_dirty(),
-        "preset": preset.name,
-        "efficiency": {
-            f"{row['depth']}/{row['mode']}": row["simt_efficiency"]
-            for row in rows
-        },
-    }
-    upsert_history(committed.setdefault("history", []), entry)
-
-
 def _check_committed(committed: dict, preset_name: str, rows) -> None:
     """Simulation outputs are deterministic: compare exactly."""
     entry = committed.get("presets", {}).get(preset_name)
@@ -128,9 +92,8 @@ def _check_committed(committed: dict, preset_name: str, rows) -> None:
         "REPRO_UPDATE_BENCH=1")
 
 
-def bench_ablation_path_depth(benchmark, preset, report):
-    rows = benchmark.pedantic(_run_grid, args=(preset,),
-                              rounds=1, iterations=1)
+def bench_ablation_path_depth(preset, report):
+    rows = _run_grid(preset)
     report(format_table(
         rows, title="Ablation — SIMT efficiency vs path-tracing depth"))
     assert all(row["verified"] for row in rows)
@@ -152,12 +115,11 @@ def bench_ablation_path_depth(benchmark, preset, report):
         committed.setdefault("schema", "repro-bench-ablation-path-depth/1")
         committed["scene"] = SCENE
         committed.setdefault("presets", {})[preset.name] = {
-            "git_rev": _git_rev(),
+            "git_rev": git_provenance(BENCH_PATH.parent)[0],
             "max_cycles": MAX_CYCLES,
             "roulette_q": preset.path_roulette_q,
             "grid": _grid_document(rows),
         }
-        _append_history(committed, preset, rows)
         BENCH_PATH.write_text(json.dumps(committed, indent=2,
                                          sort_keys=True) + "\n")
         report(f"updated {BENCH_PATH.name} (preset {preset.name})")

@@ -7,14 +7,9 @@ divergence inside the traversal loops — which is exactly the gap dynamic
 µ-kernels close in hardware.
 """
 
-from repro.harness import experiments
 
-
-def bench_ablation_persistent(benchmark, preset, workloads, report):
-    workload = workloads("conference")
-    data = benchmark.pedantic(experiments.ablation_persistent,
-                              args=(preset, workload),
-                              rounds=1, iterations=1)
+def bench_ablation_persistent(figures, report):
+    data = figures["ablation_persistent"]
     report(data["render"])
     assert data["verified"]
     rows = {row["approach"]: row for row in data["rows"]}

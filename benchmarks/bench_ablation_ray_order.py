@@ -50,10 +50,8 @@ def _sweep(workload):
     return rows, efficiency
 
 
-def bench_ablation_ray_order(benchmark, workloads, report):
-    workload = workloads("conference")
-    rows, efficiency = benchmark.pedantic(_sweep, args=(workload,),
-                                          rounds=1, iterations=1)
+def bench_ablation_ray_order(workloads, report):
+    rows, efficiency = _sweep(workloads("conference"))
     report(format_table(rows, title="Ablation — ray order vs warp "
                                     "coherence (conference)"))
     pdom_swing = (efficiency[("morton", "pdom_warp")]

@@ -32,9 +32,8 @@ def _sweep(workloads):
     return rows, efficiency
 
 
-def bench_ablation_secondary_rays(benchmark, workloads, report):
-    rows, efficiency = benchmark.pedantic(_sweep, args=(workloads,),
-                                          rounds=1, iterations=1)
+def bench_ablation_secondary_rays(workloads, report):
+    rows, efficiency = _sweep(workloads)
     report(format_table(rows, title="Ablation — ray kinds (conference)"))
     assert all(row["verified"] for row in rows)
     # µ-kernels beat PDOM occupancy on every batch kind...

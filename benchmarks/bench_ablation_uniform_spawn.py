@@ -48,10 +48,8 @@ def _sweep(workload):
     return rows
 
 
-def bench_ablation_uniform_spawn(benchmark, workloads, report):
-    workload = workloads("conference")
-    rows = benchmark.pedantic(_sweep, args=(workload,),
-                              rounds=1, iterations=1)
+def bench_ablation_uniform_spawn(workloads, report):
+    rows = _sweep(workloads("conference"))
     report(format_table(rows, title="Ablation — naive vs uniform-branch "
                                     "spawning (conference)"))
     naive = rows[0]

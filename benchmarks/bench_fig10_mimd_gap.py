@@ -6,36 +6,15 @@ dynamic µ-kernels reach ~45% of MIMD with real memory and could reach
 ~60% with ideal memory.
 """
 
-from repro.analysis.report import format_bars
-from repro.api import simulate
-from repro.harness.runner import mimd_rays_per_second
 
-MODES = ("pdom_warp", "pdom_ideal", "spawn", "spawn_ideal")
-
-
-def _run_all(workload):
-    results = {mode: simulate(workload, mode) for mode in MODES}
-    return results
-
-
-def bench_fig10(benchmark, workloads, report):
-    workload = workloads("conference")
-    results = benchmark.pedantic(_run_all, args=(workload,),
-                                 rounds=1, iterations=1)
-    mimd = mimd_rays_per_second(workload)
-    bars = [(mode, results[mode].rays_per_second / 1e6) for mode in MODES]
-    bars.append(("mimd_theoretical", mimd / 1e6))
-    fractions = {mode: value / (mimd / 1e6) for mode, value in bars}
-    report(format_bars(bars, title="Figure 10 — Mrays/s vs MIMD "
-                                   "(conference)", unit="M")
-           + "\nfractions of MIMD: "
-           + ", ".join(f"{mode}={fractions[mode]:.2f}"
-                       for mode, _ in bars))
-    for result in results.values():
+def bench_fig10(figures, report):
+    data = figures["fig10"]
+    report(data["render"])
+    for result in data["results"].values():
         assert result.verify()
+    fractions = data["fractions"]
     # Shape checks from the paper:
     pdom_gain = fractions["pdom_ideal"] / max(fractions["pdom_warp"], 1e-9)
-    spawn_gain = fractions["spawn_ideal"] / max(fractions["spawn"], 1e-9)
     assert pdom_gain < 1.35          # "PDOM has no performance increase"
     assert fractions["spawn"] > fractions["pdom_warp"]
     assert fractions["spawn_ideal"] >= fractions["spawn"]

@@ -5,19 +5,11 @@ Paper: the conference scene leaves most warps far below full occupancy
 phase ends.
 """
 
-from repro.analysis.divergence import breakdown_from_stats, render_breakdown
-from repro.api import simulate
 
-
-def bench_fig3(benchmark, workloads, report):
-    workload = workloads("conference")
-    result = benchmark.pedantic(simulate, args=(workload, "pdom_block"),
-                                rounds=1, iterations=1)
-    breakdown = breakdown_from_stats(result.stats)
-    report("Figure 3 — divergence, PDOM (conference)\n"
-           + render_breakdown(breakdown)
-           + f"\nIPC={result.ipc:.1f} efficiency={result.simt_efficiency:.2f}")
-    assert result.verify()
+def bench_fig3(figures, report):
+    data = figures["fig3"]
+    report(data["render"])
+    assert data["result"].verify()
     # Traditional branching loses a large share of lanes (paper: ~65% max).
-    assert result.simt_efficiency < 0.8
-    assert breakdown.mean_active_lanes < 28
+    assert data["simt_efficiency"] < 0.8
+    assert data["mean_active_lanes"] < 28

@@ -1,28 +1,17 @@
 """Figure 7 — divergence breakdown with dynamic µ-kernels (no conflicts).
 
 Paper: µ-kernels keep far more lanes active; IPC rises from 326 to 615
-(1.9x) on the conference scene.
+(1.9x) on the conference scene. The PDOM baseline is Figure 3's run.
 """
 
-from repro.analysis.divergence import breakdown_from_stats, render_breakdown
-from repro.api import simulate
 
-
-def bench_fig7(benchmark, workloads, report):
-    workload = workloads("conference")
-    spawn = benchmark.pedantic(simulate, args=(workload, "spawn"),
-                               rounds=1, iterations=1)
-    pdom = simulate(workload, "pdom_block")
-    spawn_breakdown = breakdown_from_stats(spawn.stats)
-    pdom_breakdown = breakdown_from_stats(pdom.stats)
-    ratio = spawn.ipc / pdom.ipc
-    report("Figure 7 — divergence, dynamic µ-kernels (conference)\n"
-           + render_breakdown(spawn_breakdown)
-           + f"\nIPC: spawn={spawn.ipc:.1f} pdom={pdom.ipc:.1f} "
-             f"ratio={ratio:.2f}x (paper: 1.9x)")
-    assert spawn.verify()
+def bench_fig7(figures, report):
+    spawn, pdom = figures["fig7"], figures["fig3"]
+    report(spawn["render"])
+    assert spawn["result"].verify()
     # Core claim: µ-kernels recover lane occupancy lost to branching.
-    assert spawn.simt_efficiency > pdom.simt_efficiency + 0.1
-    assert spawn_breakdown.mean_active_lanes > pdom_breakdown.mean_active_lanes
-    assert spawn_breakdown.high_occupancy_share() > pdom_breakdown.high_occupancy_share()
-    assert ratio > 1.2
+    assert spawn["simt_efficiency"] > pdom["simt_efficiency"] + 0.1
+    assert spawn["mean_active_lanes"] > pdom["mean_active_lanes"]
+    assert (spawn["breakdown"].high_occupancy_share()
+            > pdom["breakdown"].high_occupancy_share())
+    assert spawn["ipc_ratio"] > 1.2

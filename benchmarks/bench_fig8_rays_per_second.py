@@ -6,42 +6,17 @@ the mean dynamic speedup exceeds 1x (absolute numbers depend on the
 scaled-down scenes; see EXPERIMENTS.md).
 """
 
-from repro.analysis.report import format_table
-from repro.api import simulate
 from repro.rt import BENCHMARK_SCENES
 
-MODES = ("pdom_block", "pdom_warp", "spawn")
 
-
-def _run_all(workloads):
-    rows = []
-    for scene in BENCHMARK_SCENES:
-        workload = workloads(scene)
-        for mode in MODES:
-            result = simulate(workload, mode)
-            rows.append({
-                "scene": scene, "mode": mode,
-                "mrays_per_s": round(result.rays_per_second / 1e6, 1),
-                "efficiency": round(result.simt_efficiency, 3),
-                "completed": round(result.completed_fraction, 2),
-                "verified": result.verify(),
-            })
-    return rows
-
-
-def bench_fig8(benchmark, workloads, report):
-    rows = benchmark.pedantic(_run_all, args=(workloads,),
-                              rounds=1, iterations=1)
-    speedups = []
-    for scene in BENCHMARK_SCENES:
-        by_mode = {row["mode"]: row for row in rows if row["scene"] == scene}
-        speedups.append(by_mode["spawn"]["mrays_per_s"]
-                        / by_mode["pdom_block"]["mrays_per_s"])
-    mean_speedup = sum(speedups) / len(speedups)
-    report(format_table(rows, title="Figure 8 — rays per second")
-           + f"\nmean dynamic speedup vs PDOM block: {mean_speedup:.2f}x "
-             f"(paper: 1.4x)")
+def bench_fig8(figures, report):
+    data = figures["fig8"]
+    report(data["render"])
+    rows = data["rows"]
+    mrays = {(row["scene"], row["mode"]): row["mrays_per_s"] for row in rows}
+    speedups = [mrays[(scene, "spawn")] / mrays[(scene, "pdom_block")]
+                for scene in BENCHMARK_SCENES]
     assert all(row["verified"] for row in rows)
     # Paper's headline: dynamic µ-kernels beat traditional hardware.
-    assert mean_speedup > 1.0
+    assert data["summary"]["mean_speedup_vs_pdom_block"] > 1.0
     assert all(s > 0.9 for s in speedups)  # no scene collapses

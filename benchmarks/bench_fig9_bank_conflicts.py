@@ -2,29 +2,17 @@
 
 Paper: serialization of conflicting spawn-memory accesses adds pipeline
 stalls; IPC drops from 615 to 429 but stays 1.3x above traditional PDOM.
+The conflict-free run is Figure 7's, the PDOM baseline Figure 3's.
 """
 
-from repro.analysis.divergence import breakdown_from_stats, render_breakdown
-from repro.api import simulate
 
-
-def bench_fig9(benchmark, workloads, report):
-    workload = workloads("conference")
-    conflicted = benchmark.pedantic(simulate,
-                                    args=(workload, "spawn_conflicts"),
-                                    rounds=1, iterations=1)
-    clean = simulate(workload, "spawn")
-    pdom = simulate(workload, "pdom_block")
-    breakdown = breakdown_from_stats(conflicted.stats)
-    ratio = conflicted.ipc / pdom.ipc
-    report("Figure 9 — divergence, µ-kernels with bank conflicts "
-           "(conference)\n" + render_breakdown(breakdown)
-           + f"\nIPC: conflicts={conflicted.ipc:.1f} clean={clean.ipc:.1f} "
-             f"pdom={pdom.ipc:.1f}; ratio vs PDOM={ratio:.2f}x (paper: 1.3x)")
-    assert conflicted.verify()
+def bench_fig9(figures, report):
+    conflicted, clean, pdom = figures["fig9"], figures["fig7"], figures["fig3"]
+    report(conflicted["render"])
+    assert conflicted["result"].verify()
     # Conflicts cost performance but µ-kernels stay ahead of PDOM (paper).
-    assert conflicted.stats.sm_stats.bank_conflict_cycles > 0
-    assert conflicted.ipc < clean.ipc
-    assert ratio > 1.0
+    assert conflicted["result"].stats.sm_stats.bank_conflict_cycles > 0
+    assert conflicted["ipc"] < clean["ipc"]
+    assert conflicted["ipc_ratio"] > 1.0
     # Warps still maintain more active threads than traditional branching.
-    assert conflicted.simt_efficiency > pdom.simt_efficiency
+    assert conflicted["simt_efficiency"] > pdom["simt_efficiency"]

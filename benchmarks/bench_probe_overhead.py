@@ -68,9 +68,8 @@ def _machine(workload, mode: str):
                image.global_mem, image.const_mem)
 
 
-def bench_probe_overhead(benchmark, workloads, report):
-    rows = benchmark.pedantic(_measure, args=(workloads,),
-                              rounds=1, iterations=1)
+def bench_probe_overhead(workloads, report):
+    rows = _measure(workloads)
     report(format_table(
         rows, title="Probe overhead — traced vs untraced wall clock"))
     for row in rows:

@@ -1,11 +1,10 @@
-"""Table I — simulator configuration (construction + validation cost)."""
+"""Table I — simulator configuration."""
 
 from repro.config import paper_config
-from repro.harness import experiments
 
 
-def bench_table1(benchmark, report):
-    data = benchmark.pedantic(experiments.table1, rounds=3, iterations=1)
+def bench_table1(figures, report):
+    data = figures["table1"]
     report(data["render"])
     rows = dict((row["parameter"], row["value"]) for row in data["rows"])
     assert rows["Processor Cores"] == "30"

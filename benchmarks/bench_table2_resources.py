@@ -4,11 +4,9 @@ Paper: traditional 22 regs / µ-kernel 20 regs + 48 B spawn state,
 yielding 512 threads/SM (block scheduling) vs 800 (µ-kernels).
 """
 
-from repro.harness import experiments
 
-
-def bench_table2(benchmark, report):
-    data = benchmark.pedantic(experiments.table2, rounds=3, iterations=1)
+def bench_table2(figures, report):
+    data = figures["table2"]
     report(data["render"])
     occupancy = data["occupancy"]
     assert occupancy["microkernel_threads_per_sm"] == 800

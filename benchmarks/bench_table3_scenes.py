@@ -1,11 +1,8 @@
 """Table III — benchmark scenes with object counts and tree parameters."""
 
-from repro.harness import experiments
 
-
-def bench_table3(benchmark, preset, report):
-    data = benchmark.pedantic(experiments.table3, args=(preset,),
-                              rounds=1, iterations=1)
+def bench_table3(figures, report):
+    data = figures["table3"]
     report(data["render"])
     rows = {row["scene"]: row for row in data["rows"]}
     assert set(rows) == {"fairyforest", "atrium", "conference"}

@@ -5,12 +5,9 @@ total traffic ~7.3x on its scenes; writes grow from ~0.25 MB (results
 only) to hundreds of MB (state passing).
 """
 
-from repro.harness import experiments
 
-
-def bench_table4(benchmark, preset, report):
-    data = benchmark.pedantic(experiments.table4, args=(preset,),
-                              rounds=1, iterations=1)
+def bench_table4(figures, report):
+    data = figures["table4"]
     report(data["render"])
     summary = data["summary"]
     assert summary["mean_read_ratio"] > 1.5

@@ -1,9 +1,14 @@
-"""Benchmark fixtures: preset selection and cached workloads.
+"""Bench fixtures: preset selection, the figure set, cached workloads.
 
 Set ``REPRO_PRESET`` to ``tiny``/``fast``/``paper`` (default ``fast``) to
-pick the simulation scale. Each bench prints the regenerated table/figure
-(run pytest with ``-s`` to see it live) and appends it to
+pick the simulation scale. Each bench prints its table or figure (run
+pytest with ``-s`` to see it live) and appends it to
 ``benchmarks/_output/report.txt``.
+
+The paper's tables and figures and the DWF and persistent-threads
+ablations come from :mod:`repro.harness.experiments`, the code behind
+``repro experiments``: their benches assert the paper's shapes on that
+output (the ``figures`` fixture) and simulate nothing themselves.
 """
 
 from __future__ import annotations
@@ -14,9 +19,15 @@ import pathlib
 import pytest
 
 from repro.api import prepare_workload
+from repro.harness.experiments import run_selected
 from repro.harness.presets import get_preset
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "_output"
+
+#: The experiments the shape benches read from ``figures``.
+FIGURE_NAMES = ("table1", "table2", "table3", "table4", "fig3", "fig7",
+                "fig8", "fig9", "fig10", "ablation_dwf",
+                "ablation_persistent")
 
 
 @pytest.fixture(scope="session")
@@ -25,8 +36,16 @@ def preset():
 
 
 @pytest.fixture(scope="session")
+def figures(preset):
+    """``{name: data}`` for :data:`FIGURE_NAMES`, as ``repro experiments``
+    computes them: one serial sweep per session, shared by their benches."""
+    return dict(run_selected(FIGURE_NAMES, preset, jobs=1))
+
+
+@pytest.fixture(scope="session")
 def workloads(preset):
-    """Prepared workloads per scene, shared across benches.
+    """Prepared workloads per scene, shared across the bench-only
+    ablations.
 
     Backed by the persistent workload cache (:mod:`repro.harness.cache`):
     the in-process LRU makes repeated requests within a bench session

@@ -7,9 +7,10 @@ of on-chip memory, a 1024-byte spawn LUT, and 8 memory modules moving
 8 bytes/cycle each with no L1/L2 caching.
 
 Because the paper's SMs are fully independent (no inter-SM communication),
-the reproduction exposes *presets* that simulate fewer SMs and scale the
-memory partition proportionally; rays/s results are normalized back to the
-30-SM machine by :mod:`repro.harness.runner`.
+the reproduction exposes *presets* that simulate fewer SMs and keep the
+full 8-module memory partition (see :func:`scaled_config`); rays/s
+results are normalized back to the 30-SM machine by
+:mod:`repro.harness.runner`.
 """
 
 from __future__ import annotations

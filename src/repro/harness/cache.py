@@ -43,6 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.harness.presets import SimPreset
 from repro.rt.geometry import AABB, Triangle
 from repro.rt.kdtree import KDTree, KDTreeStats
@@ -94,11 +95,6 @@ def atomic_write(path: pathlib.Path, writer) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def atomic_write_text(path: pathlib.Path, text: str) -> None:
-    """Atomically replace ``path`` with ``text`` (UTF-8)."""
-    atomic_write(path, lambda handle: handle.write(text.encode("utf-8")))
-
-
 def cache_enabled() -> bool:
     """Whether the persistent cache is on (``REPRO_CACHE=0`` turns it off)."""
     return os.environ.get("REPRO_CACHE", "1").lower() not in (
@@ -127,6 +123,25 @@ def resolve_env_dir(name: str, raw: str) -> pathlib.Path:
             path = pathlib.Path.cwd() / path
         _ENV_DIR_CACHE[key] = path
     return _ENV_DIR_CACHE[key]
+
+
+def writable_env_dir(name: str, raw: str) -> pathlib.Path:
+    """:func:`resolve_env_dir`, created and checked writable at once.
+
+    For the directories a long run appends to (``REPRO_CHECKPOINT_DIR``,
+    ``REPRO_RESULTS_DIR``): one that cannot be created or written raises
+    :class:`~repro.errors.ConfigError` naming the variable, before the run
+    starts rather than at its first append.
+    """
+    directory = resolve_env_dir(name, raw)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"{name}={raw!r} cannot be created: {exc}") from None
+    if not os.access(directory, os.W_OK):
+        raise ConfigError(f"{name}={raw!r} is not writable")
+    return directory
 
 
 def resolve_cache_dir() -> pathlib.Path:

@@ -2,14 +2,15 @@
 
 Each ``table*``/``fig*`` function runs the relevant simulations and returns
 a dict with structured data plus a ``render`` string that prints the same
-rows/series the paper reports. ``python -m repro.harness.experiments``
-regenerates everything at the chosen preset.
+rows/series the paper reports. ``repro experiments`` regenerates them at
+the chosen preset; the shape benches under ``benchmarks/`` assert on the
+same dicts.
 
 Every simulation-backed figure accepts an optional ``results``
 (:class:`~repro.harness.sweep.SweepResults`): when given, the figure reads
 precomputed stats instead of simulating. :func:`run_selected` enumerates
 the union of jobs the requested figures need (deduplicated — the PDOM
-baseline shared by Figures 3/7/8/9/10 runs once, not five times), executes
+baseline shared by Figures 3/7/8/9 runs once, not four times), executes
 them through the sweep engine with ``jobs`` workers, and feeds every figure
 from the shared results.
 
@@ -21,13 +22,11 @@ against another across revisions.
 
 from __future__ import annotations
 
-import sys
-
 from repro.analysis.bandwidth import bandwidth_table
 from repro.analysis.divergence import breakdown_from_stats, render_breakdown
 from repro.analysis.report import format_table
 from repro.config import paper_config
-from repro.harness.presets import SimPreset, get_preset
+from repro.harness.presets import SimPreset
 from repro.harness.runner import (
     mimd_rays_per_second,
     prepare_workload,
@@ -56,6 +55,11 @@ from repro.kernels.traditional import (
 from repro.rt import BENCHMARK_SCENES
 from repro.rt.scenes import PAPER_TRIANGLE_COUNTS
 from repro.workloads import GRAPH_SCENES
+
+#: Figure 10's bars as (real memory, ideal memory) pairs: ``pdom_ideal``
+#: is ``pdom_warp`` with the ideal memory system, ``spawn_ideal`` is
+#: ``spawn`` with it.
+FIG10_MODES = ("pdom_warp", "pdom_ideal", "spawn", "spawn_ideal")
 
 #: Modes the workload-family experiments compare (the paper's headline
 #: trio: both PDOM baselines against conflict-free µ-kernels).
@@ -254,14 +258,14 @@ def fig10(preset: SimPreset, scene: str = "conference",
 
     The paper's shape: PDOM gains nothing from an ideal memory system
     (branch-bound); µ-kernels reach ~45% of MIMD with real memory and ~60%
-    with ideal memory.
+    with ideal memory. Each ideal-memory bar differs from the real-memory
+    bar before it only in ``memory_ideal``.
     """
-    modes = ("pdom_block", "pdom_ideal", "spawn", "spawn_ideal")
     workload = prepare_workload(scene, preset)
     mimd = mimd_rays_per_second(workload)
     bars = []
     mode_results = {}
-    for mode in modes:
+    for mode in FIG10_MODES:
         result = _sim(results, scene, mode, preset)
         mode_results[mode] = result
         bars.append((mode, result.rays_per_second))
@@ -417,7 +421,7 @@ def _pairs(preset: SimPreset, pairs) -> list[SweepJob]:
 
 #: Simulations each figure needs, as declarative job specs. The union over
 #: requested figures is deduplicated before the sweep runs, so shared
-#: baselines (conference pdom_block appears in five figures) run once.
+#: baselines (conference pdom_block appears in four figures) run once.
 FIGURE_JOBS = {
     "fig3": lambda preset: _pairs(preset, [("conference", "pdom_block")]),
     "fig7": lambda preset: _pairs(preset, [("conference", "spawn"),
@@ -428,8 +432,7 @@ FIGURE_JOBS = {
     "fig9": lambda preset: _pairs(preset, [("conference", "spawn_conflicts"),
                                            ("conference", "pdom_block")]),
     "fig10": lambda preset: _pairs(preset, [
-        ("conference", mode) for mode in ("pdom_block", "pdom_ideal",
-                                          "spawn", "spawn_ideal")]),
+        ("conference", mode) for mode in FIG10_MODES]),
     "ablation_dwf": lambda preset: _pairs(preset, [
         ("conference", "pdom_warp"), ("conference", "spawn")]),
     "ablation_persistent": lambda preset: _pairs(preset, [
@@ -548,32 +551,3 @@ def export_all_csv(preset: SimPreset, out_dir: str,
         written.append(str(write_breakdown_csv(f"{out_dir}/{name}.csv",
                                                data[name]["breakdown"])))
     return written
-
-
-def run_all(preset_name: str = "fast", jobs: int | None = None,
-            progress=None, *, strict: bool = True, checkpoint=None,
-            resume: bool = False) -> str:
-    """Regenerate every table and figure; returns the combined report.
-
-    ``jobs`` fans the underlying simulations over that many worker
-    processes (``None`` keeps the serial reference path);
-    ``checkpoint``/``resume`` make the shared sweep resumable.
-    """
-    preset = get_preset(preset_name)
-    sections = [data["render"] for _, data in
-                run_selected(list(EXPERIMENTS), preset, jobs=jobs,
-                             progress=progress, strict=strict,
-                             checkpoint=checkpoint, resume=resume)]
-    return "\n\n".join(sections)
-
-
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    preset = argv[0] if argv else "fast"
-    jobs = int(argv[1]) if len(argv) > 1 else None
-    print(run_all(preset, jobs=jobs))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,11 +1,12 @@
 """Simulation presets: scale the paper's experiment to a Python budget.
 
 The paper simulates a 30-SM machine at 256x256 for the first 300k cycles.
-SMs are independent (no inter-SM communication in the paper's model), so a
-smaller SM count with a proportionally scaled memory partition reproduces
-per-SM behaviour exactly under the paper's own assumptions; rays/s numbers
-are scaled back to 30 SMs by the runner. Scene ``detail`` scales the
-procedural triangle counts (DESIGN.md documents the scene substitution).
+SMs are independent (no inter-SM communication in the paper's model), so
+a preset simulates fewer SMs on the full 8-module memory partition
+(:func:`repro.config.scaled_config` explains why it is not scaled down);
+rays/s numbers are scaled back to 30 SMs by the runner. Scene ``detail``
+scales the procedural triangle counts (DESIGN.md documents the scene
+substitution).
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ from repro.errors import (
     SchedulingError,
     SweepError,
 )
-from repro.harness.cache import resolve_cache_dir, resolve_env_dir
+from repro.harness.cache import resolve_cache_dir, writable_env_dir
 from repro.harness.presets import get_preset
 from repro.harness.runner import (
     RunResult,
@@ -155,10 +155,6 @@ class SweepResults:
     def unverified(self) -> list[RunResult]:
         """Completed jobs whose results failed reference verification."""
         return [result for result in self.results if not result.verified]
-
-    @property
-    def total_wall_seconds(self) -> float:
-        return sum(result.wall_seconds for result in self.results)
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -397,17 +393,8 @@ def default_checkpoint_path(tag: str) -> pathlib.Path:
     if override:
         # Pin a relative override to the CWD at first resolution: workers
         # spawned with a different CWD must not open a second manifest.
-        directory = resolve_env_dir("REPRO_CHECKPOINT_DIR", override)
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(
-                f"REPRO_CHECKPOINT_DIR={override!r} cannot be created: "
-                f"{exc}") from None
-        if not os.access(directory, os.W_OK):
-            raise ConfigError(
-                f"REPRO_CHECKPOINT_DIR={override!r} is not writable")
-        return directory / f"{tag}.jsonl"
+        return (writable_env_dir("REPRO_CHECKPOINT_DIR", override)
+                / f"{tag}.jsonl")
     return resolve_cache_dir() / "checkpoints" / f"{tag}.jsonl"
 
 

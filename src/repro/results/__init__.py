@@ -1,9 +1,8 @@
 """Results warehouse: an append-only, cross-run store of completed runs.
 
-Sweep outputs used to be per-run artifacts — a sweep manifest here, a
-``BENCH_*.json`` history list there — with no way to ask "did revision B
-get slower than revision A on the same configuration?". This package is
-that missing layer:
+A sweep manifest records one sweep; this package answers the cross-run
+question "did revision B get slower than revision A on the same
+configuration?":
 
 - :mod:`repro.results.store` — the ``repro-results/1`` JSONL store: one
   record per completed :class:`~repro.harness.runner.RunResult`, keyed
@@ -14,9 +13,6 @@ that missing layer:
   ``api.simulate``, ``api.sweep``/``repro experiments`` (serial sweeps
   record in the driver, parallel ones in each ``repro worker``
   process), and the serve daemon all record through one hook;
-- :mod:`repro.results.history` — the clean-vs-dirty upsert rules shared
-  by the ``BENCH_*`` per-revision history sections (a dirty-tree refresh
-  may never replace a committed revision's honest point);
 - :mod:`repro.results.compare` — run-vs-run and rev-vs-rev regression
   tables with a configurable tolerance, behind the ``repro compare`` CLI;
 - :mod:`repro.results.frame` — a tidy one-row-per-run table, optionally
@@ -34,7 +30,6 @@ from repro.results.compare import (
     revisions_in,
 )
 from repro.results.frame import frame, tidy_rows
-from repro.results.history import upsert_history
 from repro.results.store import (
     RESULTS_SCHEMA,
     ResultsStore,
@@ -62,5 +57,4 @@ __all__ = [
     "run_record",
     "stats_fingerprint",
     "tidy_rows",
-    "upsert_history",
 ]

@@ -4,14 +4,12 @@ The comparison unit is a *configuration*: ``(scene, mode, ray_kind,
 seed, config_digest)``. For each configuration present on both sides we
 compare the tracked throughput metrics (all higher-is-better) and flag a
 regression when the new value falls more than ``tolerance`` below the
-old one — the same relative-tolerance rule the bench regression gate
-uses, but cross-revision and driven entirely by recorded store data.
+old one, driven entirely by recorded store data.
 
 Within one side, the representative record per configuration is chosen by
 :func:`latest_by_key`: clean-tree records beat dirty ones (a dirty
-measurement must never out-vote the committed revision's honest point —
-the same rule as :mod:`repro.results.history`), latest append wins among
-equals.
+measurement must never out-vote the committed revision's honest point),
+latest append wins among equals.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ never masquerade as the committed revision's honest number.
 
 Opt-in hook: :func:`maybe_record` is a no-op unless ``REPRO_RESULTS_DIR``
 is set. The directory value is resolved against the CWD once per process
-(:func:`repro.harness.cache.resolve_env_dir`), so a worker that later
+(:func:`repro.harness.cache.writable_env_dir`), so a worker that later
 changes directory keeps appending to the same store instead of silently
 opening a second one.
 """
@@ -50,7 +50,7 @@ import subprocess
 from dataclasses import asdict
 
 from repro.errors import ConfigError
-from repro.harness.cache import resolve_env_dir
+from repro.harness.cache import writable_env_dir
 
 #: Schema tag carried by every store record (versioned alongside
 #: ``repro-wire/1`` — see docs/architecture.md, "Results warehouse").
@@ -203,15 +203,7 @@ def default_store() -> ResultsStore | None:
     raw = os.environ.get("REPRO_RESULTS_DIR")
     if not raw:
         return None
-    directory = resolve_env_dir("REPRO_RESULTS_DIR", raw)
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(
-            f"REPRO_RESULTS_DIR={raw!r} cannot be created: {exc}") from None
-    if not os.access(directory, os.W_OK):
-        raise ConfigError(f"REPRO_RESULTS_DIR={raw!r} is not writable")
-    return ResultsStore(directory)
+    return ResultsStore(writable_env_dir("REPRO_RESULTS_DIR", raw))
 
 
 def maybe_record(result, *, source: str) -> dict | None:

@@ -31,11 +31,9 @@ _EXPORTS = {
     "ShardManifest": "manifest",
     "SweepRequest": "wire",
     "WIRE_SCHEMA": "wire",
-    "from_wire": "wire",
     "request_digest": "wire",
     "run_worker": "worker",
     "serve_forever": "server",
-    "to_wire": "wire",
     "worker_ident": "worker",
 }
 
@@ -60,10 +58,8 @@ __all__ = [
     "ShardManifest",
     "SweepRequest",
     "WIRE_SCHEMA",
-    "from_wire",
     "request_digest",
     "run_worker",
     "serve_forever",
-    "to_wire",
     "worker_ident",
 ]

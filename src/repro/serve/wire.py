@@ -148,25 +148,8 @@ def request_to_wire(request: SweepRequest) -> dict:
     raise ConfigError(f"not a wire request: {type(request).__name__}")
 
 
-def to_wire(obj) -> dict:
-    """Encode any wire-capable object as a ``repro-wire/1`` record."""
-    if isinstance(obj, SweepJob):
-        return job_to_wire(obj)
-    if isinstance(obj, RunResult):
-        return result_to_wire(obj)
-    if isinstance(obj, SweepRequest):
-        return request_to_wire(obj)
-    if isinstance(obj, RunStats):
-        return {"schema": WIRE_SCHEMA, "kind": "stats",
-                "stats": obj.to_dict()}
-    raise ConfigError(
-        f"cannot encode {type(obj).__name__} as a wire record; expected "
-        f"SweepJob, RunResult, SweepRequest, or RunStats")
-
-
-def dump_line(obj) -> str:
+def dump_line(record: dict) -> str:
     """One canonical JSONL line (sorted keys, no trailing newline)."""
-    record = obj if isinstance(obj, dict) else to_wire(obj)
     return json.dumps(record, sort_keys=True)
 
 
@@ -264,34 +247,6 @@ def request_from_wire(record: dict) -> SweepRequest:
             for spec in jobs)
         return _dataclass_from(SweepRequest, body, what="sweep request")
     raise ConfigError(f"not a wire request record: kind={kind!r}")
-
-
-def from_wire(record: dict):
-    """Decode one wire record into its domain object.
-
-    ``job``/``result``/requests come back as their dataclasses;
-    ``campaign``, ``claim``, ``requeue`` and ``failure`` records are
-    protocol-level and come back as plain dicts.
-    """
-    if not isinstance(record, dict):
-        raise ConfigError(f"wire records are JSON objects, got "
-                          f"{type(record).__name__}")
-    schema = record.get("schema")
-    if schema != WIRE_SCHEMA:
-        raise ConfigError(f"unsupported wire schema {schema!r} (this build "
-                          f"reads {WIRE_SCHEMA})")
-    kind = record.get("kind")
-    if kind == "job":
-        return job_from_wire(record)
-    if kind == "result":
-        return result_from_wire(record)
-    if kind in ("simulate-request", "sweep-request"):
-        return request_from_wire(record)
-    if kind == "stats":
-        return RunStats.from_dict(record["stats"])
-    if kind in ("campaign", "claim", "requeue", "failure"):
-        return dict(record)
-    raise ConfigError(f"unknown wire record kind {kind!r}")
 
 
 def parse_line(line: str, schema: str = WIRE_SCHEMA) -> dict | None:

@@ -4,11 +4,17 @@ import pytest
 
 from repro.harness import experiments
 from repro.harness.presets import get_preset
+from repro.harness.runner import config_for_mode
 
 
 @pytest.fixture(scope="module")
 def preset():
     return get_preset("tiny")
+
+
+@pytest.fixture(scope="module")
+def fig10(preset):
+    return experiments.fig10(preset)
 
 
 class TestTables:
@@ -70,9 +76,16 @@ class TestFigures:
         assert data["mode"] == "spawn_conflicts"
         assert data["paper_ipc_ratio"] == 1.3
 
-    def test_fig10(self, preset):
-        data = experiments.fig10(preset)
-        fractions = data["fractions"]
+    def test_fig10(self, fig10):
+        fractions = fig10["fractions"]
         assert fractions["mimd_theoretical"] == pytest.approx(1.0)
-        for mode in ("pdom_block", "pdom_ideal", "spawn", "spawn_ideal"):
+        for mode in ("pdom_warp", "pdom_ideal", "spawn", "spawn_ideal"):
             assert 0 < fractions[mode] < 1.0
+
+    def test_fig10_ideal_bar_changes_only_the_memory(self, fig10, preset):
+        """Each (real, ideal) pair of bars differs in ``memory_ideal``
+        alone, so the pair isolates the memory system's effect."""
+        modes = list(fig10["results"])
+        for real, ideal in zip(modes[0::2], modes[1::2]):
+            assert (config_for_mode(real, preset).replace(memory_ideal=True)
+                    == config_for_mode(ideal, preset)), (real, ideal)

@@ -31,6 +31,7 @@ from repro.harness.sweep import (
     run_sweep,
     warm_workloads,
 )
+from repro.results.store import default_store
 from repro.serve.manifest import ShardManifest
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "sweep_digests.json"
@@ -297,6 +298,14 @@ class TestCheckpointResume:
             == len(SCENES) * len(MODES) - 1
 
 
+#: The directory env vars a run appends to, each with the call that
+#: resolves it; a bad value must fail there, naming the variable.
+APPEND_DIRS = (
+    ("REPRO_CHECKPOINT_DIR", lambda: default_checkpoint_path("campaign")),
+    ("REPRO_RESULTS_DIR", default_store),
+)
+
+
 class TestCheckpointDirOverride:
     def test_default_lives_under_the_cache_dir(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
@@ -316,9 +325,11 @@ class TestCheckpointDirOverride:
                                                       monkeypatch):
         blocker = tmp_path / "file"
         blocker.write_text("a plain file, not a directory\n")
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(blocker / "sub"))
-        with pytest.raises(ConfigError, match="cannot be created"):
-            default_checkpoint_path("campaign")
+        for name, resolve in APPEND_DIRS:
+            monkeypatch.setenv(name, str(blocker / "sub"))
+            with pytest.raises(ConfigError,
+                               match=f"{name}=.* cannot be created"):
+                resolve()
 
     def test_relative_override_pinned_to_first_cwd(self, tmp_path,
                                                    monkeypatch):
@@ -344,10 +355,12 @@ class TestCheckpointDirOverride:
         target = tmp_path / "readonly"
         target.mkdir()
         target.chmod(0o555)
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(target))
         try:
-            with pytest.raises(ConfigError, match="not writable"):
-                default_checkpoint_path("campaign")
+            for name, resolve in APPEND_DIRS:
+                monkeypatch.setenv(name, str(target))
+                with pytest.raises(ConfigError,
+                                   match=f"{name}=.* is not writable"):
+                    resolve()
         finally:
             target.chmod(0o755)
 

@@ -1,12 +1,11 @@
-"""The path-depth ablation bench: history rules, exact-compare gate, grid.
+"""The path-depth ablation bench: exact-compare gate, committed grid.
 
 benchmarks/bench_ablation_path_depth.py records *simulation outputs*
-(cycles, SIMT efficiency, completed rays), so unlike the throughput
-benches its committed record is compared for exact equality and its
-``history`` section must follow the shared clean-vs-dirty upsert rules.
-These tests run the real bench module (imported by path — benchmarks/ is
-not a package) against synthetic rows and one genuinely simulated
-micro-grid, without touching the committed JSON.
+(cycles, SIMT efficiency, completed rays), so its committed record is
+compared for exact equality. These tests run the real bench module
+(imported by path — benchmarks/ is not a package) against synthetic rows
+and one genuinely simulated micro-grid, without touching the committed
+JSON.
 """
 
 from __future__ import annotations
@@ -67,38 +66,6 @@ class TestExactCompareGate:
         bench._check_committed({}, "paper", rows())
 
 
-class TestAppendHistory:
-    class FakePreset:
-        name = "tiny"
-
-    def refresh(self, bench, committed, monkeypatch, *, rev, dirty):
-        monkeypatch.setattr(bench, "_git_rev", lambda: rev)
-        monkeypatch.setattr(bench, "_git_dirty", lambda: dirty)
-        bench._append_history(committed, self.FakePreset(), rows())
-
-    def test_entries_carry_per_cell_efficiency(self, bench, monkeypatch):
-        committed: dict = {}
-        self.refresh(bench, committed, monkeypatch, rev="abc1234",
-                     dirty=False)
-        [entry] = committed["history"]
-        assert entry["efficiency"] == {"1/spawn": 0.5}
-        assert entry["preset"] == "tiny" and entry["dirty"] is False
-
-    def test_dirty_refresh_never_displaces_clean_point(self, bench,
-                                                       monkeypatch):
-        committed: dict = {}
-        self.refresh(bench, committed, monkeypatch, rev="abc1234",
-                     dirty=False)
-        honest = committed["history"][0]
-        self.refresh(bench, committed, monkeypatch, rev="abc1234",
-                     dirty=True)
-        self.refresh(bench, committed, monkeypatch, rev="abc1234",
-                     dirty=True)
-        history = committed["history"]
-        assert history[0] == honest
-        assert [item["dirty"] for item in history] == [False, True]
-
-
 class TestCommittedRecord:
     def test_committed_grid_covers_the_full_matrix(self, bench):
         assert bench.BENCH_PATH.exists(), (
@@ -115,7 +82,6 @@ class TestCommittedRecord:
                 for record in cell.values():
                     assert record["cycles"] > 0
                     assert 0.0 < record["simt_efficiency"] <= 1.0
-        assert committed["history"], "refresh must record a history entry"
 
 
 class TestRealGrid:

@@ -2,8 +2,8 @@
 
 The hypothesis suites generate arbitrary job specs and requests, encode
 them to canonical JSONL, and assert a bit-exact round trip through
-``parse_line``/``from_wire`` — the same path the sweep manifest and the
-HTTP API use.
+``parse_line`` and the kind's decoder — the same path the sweep manifest
+and the HTTP API use.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ class TestJobRoundTrip:
     @given(jobs_st)
     @settings(max_examples=200, deadline=None)
     def test_job_round_trips_through_a_line(self, job):
-        record = wire.parse_line(wire.dump_line(job))
-        assert wire.from_wire(record) == job
+        record = wire.parse_line(wire.dump_line(wire.job_to_wire(job)))
+        assert wire.job_from_wire(record) == job
 
     @given(jobs_st)
     @settings(max_examples=50, deadline=None)
@@ -89,23 +89,23 @@ class TestRequestRoundTrip:
     @given(one_job_requests_st)
     @settings(max_examples=100, deadline=None)
     def test_one_job_sweep_request_round_trips(self, request):
-        record = wire.parse_line(wire.dump_line(request))
-        assert wire.from_wire(record) == request
-        (job,) = wire.from_wire(record).jobs
+        record = wire.parse_line(wire.dump_line(wire.request_to_wire(request)))
+        assert wire.request_from_wire(record) == request
+        (job,) = wire.request_from_wire(record).jobs
         assert job.config_digest() == request.jobs[0].config_digest()
 
     @given(sweep_requests_st)
     @settings(max_examples=100, deadline=None)
     def test_sweep_request_round_trips(self, request):
-        record = wire.parse_line(wire.dump_line(request))
-        assert wire.from_wire(record) == request
+        record = wire.parse_line(wire.dump_line(wire.request_to_wire(request)))
+        assert wire.request_from_wire(record) == request
 
     @given(one_job_requests_st)
     @settings(max_examples=100, deadline=None)
     def test_request_digest_is_stable_and_content_addressed(self, request):
         direct = wire.request_digest(request)
         reencoded = wire.request_digest(
-            wire.parse_line(wire.dump_line(request)))
+            wire.parse_line(wire.dump_line(wire.request_to_wire(request))))
         assert direct == reencoded
         (job,) = request.jobs
         different = wire.request_digest(SweepRequest(
@@ -114,7 +114,7 @@ class TestRequestRoundTrip:
 
     def test_simulate_request_record_names_sweep_request(self):
         with pytest.raises(ConfigError, match="sweep-request"):
-            wire.from_wire(dict(LEGACY_SIMULATE_REQUEST))
+            wire.request_from_wire(dict(LEGACY_SIMULATE_REQUEST))
 
     def test_empty_sweep_request_rejected(self):
         with pytest.raises(ConfigError, match="at least one job"):
@@ -148,17 +148,18 @@ class TestParseLine:
         assert wire.retry_from_wire(record) == retry
         job = SweepJob(scene="conference", mode="spawn", preset="tiny")
         requeue = wire.requeue_to_wire(job, "w1", "crash", "exit 66")
-        assert wire.from_wire(wire.parse_line(wire.dump_line(requeue))) \
-            == requeue
+        assert wire.parse_line(wire.dump_line(requeue)) == requeue
         assert wire.record_key(requeue) == (job.key, job.config_digest())
 
-    def test_from_wire_rejects_foreign_schema(self):
-        with pytest.raises(ConfigError, match="unsupported wire schema"):
-            wire.from_wire({"schema": "other/9", "kind": "job"})
-
-    def test_from_wire_rejects_unknown_kind(self):
-        with pytest.raises(ConfigError, match="unknown wire record kind"):
-            wire.from_wire({"schema": wire.WIRE_SCHEMA, "kind": "mystery"})
+    def test_result_round_trips_through_a_line(self, tiny_result):
+        record = wire.parse_line(wire.dump_line(
+            wire.result_to_wire(tiny_result)))
+        result = wire.result_from_wire(record)
+        assert result.job == tiny_result.job
+        assert result.stats.to_dict() == tiny_result.stats.to_dict()
+        assert (result.num_rays, result.verified, result.wall_seconds) == (
+            tiny_result.num_rays, tiny_result.verified,
+            tiny_result.wall_seconds)
 
 
 REMOVED_KNOBS = (("executor", "reference"), ("scheduler", "scan"))
@@ -173,7 +174,7 @@ class TestRemovedKnobs:
         record = dict(LEGACY_SIMULATE_REQUEST)
         record[knob] = value
         with pytest.raises(ConfigError, match="sweep-request"):
-            wire.from_wire(record)
+            wire.request_from_wire(record)
 
     @pytest.mark.parametrize("knob,value", REMOVED_KNOBS)
     def test_sweep_request_naming_a_removed_knob(self, knob, value):
@@ -181,7 +182,7 @@ class TestRemovedKnobs:
             SweepJob(scene="conference", mode="spawn", preset="tiny"),)))
         record["jobs"][0][knob] = value
         with pytest.raises(ConfigError, match=f"unknown job field '{knob}'"):
-            wire.from_wire(record)
+            wire.request_from_wire(record)
 
     def test_sweep_request_naming_shards(self):
         record = wire.request_to_wire(SweepRequest(jobs=(
@@ -189,17 +190,16 @@ class TestRemovedKnobs:
         record["shards"] = 2
         with pytest.raises(ConfigError,
                            match="unknown sweep request field 'shards'"):
-            wire.from_wire(record)
+            wire.request_from_wire(record)
 
     @pytest.mark.parametrize("knob,value", REMOVED_KNOBS)
-    def test_stats_record_naming_a_removed_knob(self, tiny_stats_doc, knob,
+    def test_stats_record_naming_a_removed_knob(self, tiny_result, knob,
                                                 value):
-        stats = copy.deepcopy(tiny_stats_doc)
-        stats["config"][knob] = value
+        record = wire.result_to_wire(tiny_result)
+        record["stats"]["config"][knob] = value
         with pytest.raises(ConfigError,
                            match=f"unknown GPUConfig option '{knob}'"):
-            wire.from_wire({"schema": wire.WIRE_SCHEMA, "kind": "stats",
-                            "stats": stats})
+            wire.result_from_wire(record)
 
     def test_checkpoint_resimulates_an_older_result(self, tmp_path,
                                                     tiny_stats_doc):
@@ -274,13 +274,18 @@ class TestMalformedResultDiagnostics:
 
 
 @pytest.fixture(scope="module")
-def tiny_stats_doc():
-    """A real RunStats document from one tiny simulation."""
+def tiny_result():
+    """A real RunResult from one tiny simulation."""
     from repro.harness.sweep import execute_job
 
-    result = execute_job(SweepJob(scene="conference", mode="spawn",
-                                  preset="tiny", max_cycles=5_000))
-    return result.stats.to_dict()
+    return execute_job(SweepJob(scene="conference", mode="spawn",
+                                preset="tiny", max_cycles=5_000))
+
+
+@pytest.fixture(scope="module")
+def tiny_stats_doc(tiny_result):
+    """The RunStats document of :func:`tiny_result`."""
+    return tiny_result.stats.to_dict()
 
 
 def test_wire_import_loads_neither_daemon_nor_client():
