@@ -12,6 +12,6 @@ def bench_fig7(figures, report):
     # Core claim: µ-kernels recover lane occupancy lost to branching.
     assert spawn["simt_efficiency"] > pdom["simt_efficiency"] + 0.1
     assert spawn["mean_active_lanes"] > pdom["mean_active_lanes"]
-    assert (spawn["breakdown"].high_occupancy_share()
-            > pdom["breakdown"].high_occupancy_share())
+    assert (spawn["result"].stats.divergence.high_occupancy_share()
+            > pdom["result"].stats.divergence.high_occupancy_share())
     assert spawn["ipc_ratio"] > 1.2

@@ -24,7 +24,7 @@ SCENE = "conference"
 MODES = ("pdom_warp", "spawn")
 
 #: Generous wall-clock ceiling for probes-on vs probes-off; interval
-#: accumulation is a handful of numpy scalar adds per simulated cycle.
+#: accumulation is a handful of plain-int adds per simulated cycle.
 MAX_OVERHEAD = 3.0
 
 

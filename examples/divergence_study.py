@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.analysis.divergence import breakdown_from_stats, render_breakdown
+from repro.analysis.divergence import render_breakdown
 from repro.api import prepare_workload, simulate
 from repro.harness.presets import SimPreset
 
@@ -27,23 +27,20 @@ def main() -> None:
     print(f"scene: {scene}, {len(workload.tree.triangles)} triangles, "
           f"{workload.num_rays} rays, first {PRESET.max_cycles} cycles\n")
 
-    sections = []
+    results = []
     for title, mode in (
             ("Figure 3 — traditional PDOM branching", "pdom_block"),
             ("Figure 7 — dynamic µ-kernels (conflict-free)", "spawn"),
             ("Figure 9 — dynamic µ-kernels (bank conflicts)",
              "spawn_conflicts")):
         result = simulate(workload, mode)
-        breakdown = breakdown_from_stats(result.stats)
-        sections.append((title, result, breakdown))
+        results.append(result)
         print(title)
-        print(render_breakdown(breakdown))
+        print(render_breakdown(result.stats.divergence))
         print(f"IPC={result.ipc:.1f}  efficiency="
               f"{result.simt_efficiency:.2f}  verified={result.verify()}\n")
 
-    pdom = sections[0][1]
-    spawn = sections[1][1]
-    conflicts = sections[2][1]
+    pdom, spawn, conflicts = results
     print("summary (paper values for the full-size machine in parens):")
     print(f"  spawn / PDOM IPC ratio:     {spawn.ipc / pdom.ipc:.2f}x (1.9x)")
     print(f"  conflicts / PDOM IPC ratio: "

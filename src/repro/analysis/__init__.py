@@ -1,19 +1,12 @@
-"""Analysis utilities: divergence breakdowns, bandwidth model, reports."""
+"""Analysis utilities: divergence charts, bandwidth model, reports."""
 
 from repro.analysis.bandwidth import BandwidthModel, bandwidth_table
-from repro.analysis.divergence import (
-    DivergenceBreakdown,
-    breakdown_from_stats,
-    render_breakdown,
-)
-from repro.analysis.report import format_table, format_series
+from repro.analysis.divergence import render_breakdown
+from repro.analysis.report import format_table
 
 __all__ = [
     "BandwidthModel",
-    "DivergenceBreakdown",
     "bandwidth_table",
-    "breakdown_from_stats",
-    "format_series",
     "format_table",
     "render_breakdown",
 ]

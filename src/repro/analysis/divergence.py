@@ -1,100 +1,59 @@
-"""Warp-occupancy (divergence) breakdowns — paper Figures 3, 7 and 9.
+"""Warp-occupancy (divergence) charts — paper Figures 3, 7 and 9.
 
 The AerialVision plots classify every issued warp instruction by its count
 of active threads into categories W1:4 ... W29:32 and show the mix over
-time. :func:`breakdown_from_stats` extracts the same series from a
-simulation run; :func:`render_breakdown` draws a terminal-friendly stacked
-chart so benchmarks can print the figure.
+time. A run's :class:`~repro.simt.stats.DivergenceSampler`
+(``stats.divergence``) holds that series; :func:`render_breakdown` draws
+it as a terminal-friendly stacked chart, with the same routine that draws
+a trace session's interval plot (:func:`repro.obs.render_interval_plot`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 import numpy as np
 
-from repro.simt.gpu import RunStats
-from repro.simt.stats import NUM_W_BUCKETS, w_labels
-
-
-@dataclass(frozen=True)
-class DivergenceBreakdown:
-    """Time series of warp-occupancy category fractions.
-
-    ``fractions`` has one row per time window; columns are the W buckets
-    (low to high occupancy) followed by idle and stall fractions.
-    """
-
-    window_cycles: int
-    labels: tuple[str, ...]
-    fractions: np.ndarray
-    totals: np.ndarray
-    mean_active_lanes: float
-    warp_size: int
-
-    @property
-    def num_windows(self) -> int:
-        return self.fractions.shape[0]
-
-    def category_share(self, label: str) -> float:
-        """Whole-run issue share of one W category."""
-        index = self.labels.index(label)
-        total = self.totals.sum()
-        return float(self.totals[index] / total) if total else 0.0
-
-    def high_occupancy_share(self, buckets: int = 2) -> float:
-        """Issue share of the top ``buckets`` occupancy categories."""
-        total = self.totals.sum()
-        if not total:
-            return 0.0
-        return float(self.totals[-buckets:].sum() / total)
-
-    def low_occupancy_share(self, buckets: int = 2) -> float:
-        total = self.totals.sum()
-        if not total:
-            return 0.0
-        return float(self.totals[:buckets].sum() / total)
-
-
-def breakdown_from_stats(stats: RunStats) -> DivergenceBreakdown:
-    """Build the figure data from a run's divergence sampler."""
-    sampler = stats.divergence
-    labels = tuple(w_labels(sampler.warp_size)) + ("idle", "stall")
-    return DivergenceBreakdown(
-        window_cycles=sampler.window,
-        labels=labels,
-        fractions=sampler.fractions_over_time(),
-        totals=sampler.totals(),
-        mean_active_lanes=sampler.mean_active_lanes(),
-        warp_size=sampler.warp_size,
-    )
-
+from repro.simt.stats import NUM_W_BUCKETS, DivergenceSampler, row_fractions
 
 _SHADES = " .:-=+*#%@"
 
 
-def render_breakdown(breakdown: DivergenceBreakdown, *,
+def _stacked_rows(counts: np.ndarray, labels: Sequence[str],
+                  max_columns: int) -> list[str]:
+    """Glyph rows for a windows x categories count table, top row first.
+
+    Each window's counts become fractions of its total; more than
+    ``max_columns`` windows are averaged down in ``np.array_split``
+    chunks. One row per label, for the first ``len(labels)`` categories;
+    darker glyphs mean a larger share.
+    """
+    fractions = row_fractions(counts)
+    if fractions.shape[0] > max_columns:
+        chunks = np.array_split(fractions, max_columns, axis=0)
+        fractions = np.stack([chunk.mean(axis=0) for chunk in chunks])
+    top = len(_SHADES) - 1
+    lines = []
+    for category in range(len(labels) - 1, -1, -1):
+        glyphs = "".join(_SHADES[min(top, int(value * top + 0.5))]
+                         for value in fractions[:, category])
+        lines.append(f"{labels[category]:>7} |{glyphs}|")
+    return lines
+
+
+def render_breakdown(sampler: DivergenceSampler, *,
                      max_windows: int = 40, include_idle: bool = False
                      ) -> str:
     """ASCII rendering: one row per W category, one column per window.
 
     Darker glyphs mean that category held a larger share of that window's
-    issues — the terminal analogue of the stacked AerialVision plot.
+    cycles — the terminal analogue of the stacked AerialVision plot.
     """
-    fractions = breakdown.fractions
-    if fractions.shape[0] > max_windows:
-        # Downsample by averaging consecutive windows.
-        chunks = np.array_split(fractions, max_windows, axis=0)
-        fractions = np.stack([chunk.mean(axis=0) for chunk in chunks])
-    count = NUM_W_BUCKETS + (2 if include_idle else 0)
-    lines = []
-    for category in range(count - 1, -1, -1):
-        row = fractions[:, category] if fractions.size else np.zeros(0)
-        glyphs = "".join(
-            _SHADES[min(len(_SHADES) - 1, int(value * (len(_SHADES) - 1) + 0.5))]
-            for value in row)
-        lines.append(f"{breakdown.labels[category]:>7} |{glyphs}|")
-    lines.append(f"{'':>7}  window = {breakdown.window_cycles} cycles, "
-                 f"mean active lanes = {breakdown.mean_active_lanes:.1f}"
-                 f"/{breakdown.warp_size}")
+    labels = sampler.labels()
+    if not include_idle:
+        labels = labels[:NUM_W_BUCKETS]
+    lines = _stacked_rows(sampler.array(), labels, max_windows)
+    lines.append(f"{'':>7}  window = {sampler.window} cycles, "
+                 f"mean active lanes = {sampler.mean_active_lanes():.1f}"
+                 f"/{sampler.warp_size}")
     return "\n".join(lines)

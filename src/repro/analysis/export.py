@@ -11,7 +11,7 @@ import csv
 import pathlib
 from collections.abc import Sequence
 
-from repro.analysis.divergence import DivergenceBreakdown
+from repro.simt.stats import DivergenceSampler
 
 
 def write_rows_csv(path: str | pathlib.Path, rows: Sequence[dict],
@@ -35,36 +35,14 @@ def write_rows_csv(path: str | pathlib.Path, rows: Sequence[dict],
 
 
 def write_breakdown_csv(path: str | pathlib.Path,
-                        breakdown: DivergenceBreakdown) -> pathlib.Path:
-    """Export a divergence breakdown time series (Figures 3/7/9 data).
+                        sampler: DivergenceSampler) -> pathlib.Path:
+    """Export a divergence time series (Figures 3/7/9 data).
 
     One row per time window: window start cycle followed by the fraction
     of that window spent in each W category, idle, and stall.
     """
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["window_start_cycle", *breakdown.labels])
-        for index in range(breakdown.num_windows):
-            start = index * breakdown.window_cycles
-            writer.writerow([start,
-                             *(f"{value:.6f}"
-                               for value in breakdown.fractions[index])])
-    return path
-
-
-def write_series_csv(path: str | pathlib.Path, name: str,
-                     labels: Sequence[str], values: Sequence[float]
-                     ) -> pathlib.Path:
-    """Export labelled bars (Figure 8/10 style data)."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must have equal lengths")
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["label", name])
-        for label, value in zip(labels, values):
-            writer.writerow([label, value])
-    return path
+    labels = sampler.labels()
+    rows = [{"window_start_cycle": index * sampler.window,
+             **{label: f"{value:.6f}" for label, value in zip(labels, row)}}
+            for index, row in enumerate(sampler.fractions_over_time())]
+    return write_rows_csv(path, rows, ["window_start_cycle", *labels])

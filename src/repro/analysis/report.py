@@ -1,4 +1,4 @@
-"""Plain-text table and series renderers for benchmark output."""
+"""Plain-text table renderer for benchmark output."""
 
 from __future__ import annotations
 
@@ -30,31 +30,4 @@ def format_table(rows: Sequence[dict], columns: Sequence[str] | None = None,
     for row in cells:
         lines.append("  ".join(cell.ljust(widths[i])
                                for i, cell in enumerate(row)))
-    return "\n".join(lines)
-
-
-def format_series(name: str, values: Sequence[float], *,
-                  width: int = 50, unit: str = "") -> str:
-    """Render a numeric series as a horizontal bar chart."""
-    if not values:
-        return f"{name}: (empty)"
-    peak = max(values) or 1.0
-    lines = [name]
-    for index, value in enumerate(values):
-        bar = "#" * max(1, int(round(width * value / peak))) if value else ""
-        lines.append(f"  [{index:>3}] {value:>12.3f}{unit} {bar}")
-    return "\n".join(lines)
-
-
-def format_bars(items: Sequence[tuple[str, float]], *, width: int = 50,
-                unit: str = "", title: str | None = None) -> str:
-    """Render labelled values as a bar chart (figure-style output)."""
-    if not items:
-        return title or ""
-    peak = max(value for _, value in items) or 1.0
-    label_width = max(len(label) for label, _ in items)
-    lines = [title] if title else []
-    for label, value in items:
-        bar = "#" * max(1, int(round(width * value / peak))) if value else ""
-        lines.append(f"  {label.ljust(label_width)} {value:>12.3f}{unit} {bar}")
     return "\n".join(lines)

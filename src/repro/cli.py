@@ -55,7 +55,7 @@ import json
 import sys
 
 from repro import api
-from repro.analysis.divergence import breakdown_from_stats, render_breakdown
+from repro.analysis.divergence import render_breakdown
 from repro.harness import experiments
 from repro.harness.presets import PRESETS, get_preset
 from repro.harness.runner import MODES
@@ -231,7 +231,7 @@ def _cmd_run(args) -> int:
           f"/{result.stats.dram_write_bytes} bytes")
     print(f"  verified           {result.verify()}")
     if args.divergence:
-        print(render_breakdown(breakdown_from_stats(result.stats)))
+        print(render_breakdown(result.stats.divergence))
     return 0 if result.verify() else 1
 
 

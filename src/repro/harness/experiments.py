@@ -23,7 +23,7 @@ against another across revisions.
 from __future__ import annotations
 
 from repro.analysis.bandwidth import bandwidth_table
-from repro.analysis.divergence import breakdown_from_stats, render_breakdown
+from repro.analysis.divergence import render_breakdown
 from repro.analysis.report import format_table
 from repro.config import paper_config
 from repro.harness.presets import SimPreset
@@ -159,19 +159,18 @@ def _divergence_figure(mode: str, preset: SimPreset, scene: str,
                        title: str,
                        results: SweepResults | None = None) -> dict:
     result = _sim(results, scene, mode, preset)
-    breakdown = breakdown_from_stats(result.stats)
+    sampler = result.stats.divergence
     return {
         "mode": mode,
         "scene": scene,
         "ipc": result.ipc,
         "simt_efficiency": result.simt_efficiency,
-        "mean_active_lanes": breakdown.mean_active_lanes,
-        "breakdown": breakdown,
+        "mean_active_lanes": sampler.mean_active_lanes(),
         "result": result,
         "render": (f"{title} (scene={scene}, mode={mode}, "
                    f"IPC={result.ipc:.1f}, "
                    f"efficiency={result.simt_efficiency:.2f})\n"
-                   + render_breakdown(breakdown)),
+                   + render_breakdown(sampler)),
     }
 
 
@@ -548,6 +547,6 @@ def export_all_csv(preset: SimPreset, out_dir: str,
         written.append(str(write_rows_csv(f"{out_dir}/{name}.csv",
                                           data[name]["rows"])))
     for name in ("fig3", "fig7", "fig9"):
-        written.append(str(write_breakdown_csv(f"{out_dir}/{name}.csv",
-                                               data[name]["breakdown"])))
+        written.append(str(write_breakdown_csv(
+            f"{out_dir}/{name}.csv", data[name]["result"].stats.divergence)))
     return written

@@ -57,10 +57,11 @@ PRESETS = {
                        image_height=256, scene_detail=2.0, kd_max_depth=18,
                        kd_leaf_size=8, max_cycles=300_000,
                        divergence_window=3_000),
-    # Workload-family handles: the tiny/fast geometry with the path-tracing
-    # knobs pinned (use with ray_kind="path"). Multi-bounce paths run ~4x
-    # the instructions of a primary batch, so the tiny cycle cap is kept
-    # generous while "fast" inherits the truncating 300k budget.
+    # Workload-family handles (use with ray_kind="path"): equal to tiny and
+    # fast in every field but the name; the path knobs are the defaults.
+    # Multi-bounce paths run ~4x the instructions of a primary batch, so
+    # the tiny cycle cap is kept generous while "fast" inherits the
+    # truncating 300k budget.
     "path-tiny": SimPreset(name="path-tiny", num_sms=1, image_width=12,
                            image_height=12, scene_detail=0.25,
                            kd_max_depth=10, kd_leaf_size=8,

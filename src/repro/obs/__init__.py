@@ -4,9 +4,10 @@ Attach a :class:`TraceSession` to a run (``repro.api.simulate(...,
 probes=...)`` or ``GPU(..., trace=session)``) to collect per-interval
 W-bucket histograms, occupancy, spawn-pool depth, DRAM segment counts,
 cause-split idle/stall attribution, and a bounded structured-event stream
-— with zero overhead when no session is attached. See
-:mod:`repro.obs.probe` for the contracts and :mod:`repro.obs.export` for
-the Chrome-trace/CSV/JSON/ASCII exporters.
+— with zero overhead when no session is attached. The interval tables are
+:class:`~repro.simt.stats.WindowCounters`, like the divergence sampler.
+See :mod:`repro.obs.probe` for the contracts and :mod:`repro.obs.export`
+for the Chrome-trace/CSV/JSON/ASCII exporters.
 """
 
 from repro.obs.export import (
@@ -17,7 +18,6 @@ from repro.obs.export import (
     write_intervals_csv,
     write_intervals_json,
 )
-from repro.obs.interval import IntervalBuffer
 from repro.obs.invariants import (
     check_cycle_partition,
     check_run,
@@ -29,7 +29,6 @@ from repro.obs.probe import (
     IDLE_CAUSES,
     INTERVAL_COLUMNS,
     STALL_CAUSES,
-    Probe,
     SMProbe,
     TraceSession,
 )
@@ -40,8 +39,6 @@ __all__ = [
     "EventLog",
     "IDLE_CAUSES",
     "INTERVAL_COLUMNS",
-    "IntervalBuffer",
-    "Probe",
     "SMProbe",
     "STALL_CAUSES",
     "TraceSession",

@@ -11,7 +11,7 @@ Three consumers of one :class:`~repro.obs.probe.TraceSession`:
   per-interval metric table for plotting;
 - :func:`render_interval_plot` — an AerialVision-style stacked terminal
   plot of the per-interval cycle breakdown (W buckets + idle + stall),
-  the probe-based analogue of
+  drawn by the same routine as
   :func:`repro.analysis.divergence.render_breakdown`.
 
 Timestamps are in *cycles* (recorded as microseconds in the trace file so
@@ -23,13 +23,13 @@ from __future__ import annotations
 import json
 import pathlib
 
-import numpy as np
-
-from repro.obs.probe import INTERVAL_COLUMNS, TraceSession
+from repro.obs.probe import (
+    IDLE_CAUSES,
+    INTERVAL_COLUMNS,
+    STALL_CAUSES,
+    TraceSession,
+)
 from repro.simt.stats import NUM_W_BUCKETS
-
-#: Glyph ramp shared with the divergence breakdown renderer.
-_SHADES = " .:-=+*#%@"
 
 #: Counter tracks exported per interval (name -> column expression).
 _COUNTER_TRACKS = ("occupancy_warp_cycles", "pool_thread_cycles",
@@ -67,7 +67,7 @@ def chrome_trace(session: TraceSession) -> dict:
     events.append({"ph": "M", "pid": machine_pid, "tid": 0,
                    "name": "process_name", "args": {"name": "machine"}})
     machine = session.machine_intervals()
-    dram = session.dram.trimmed()
+    dram = session.dram.array()
     for name in _COUNTER_TRACKS:
         column = INTERVAL_COLUMNS.index(name)
         for index in range(machine.shape[0]):
@@ -155,36 +155,22 @@ def render_interval_plot(session: TraceSession, *,
     One row per category, one column per interval; darker glyphs mean the
     category consumed a larger share of that interval's SM cycles.
     """
-    machine = session.machine_intervals().astype(np.float64)
+    from repro.analysis.divergence import _stacked_rows
+
+    machine = session.machine_intervals()
     if machine.shape[0] == 0:
         return "(no intervals recorded)"
-    if machine.shape[0] > max_intervals:
-        chunks = np.array_split(machine, max_intervals, axis=0)
-        machine = np.stack([chunk.sum(axis=0) for chunk in chunks])
-    idle = INTERVAL_COLUMNS.index("idle")
-    stall = INTERVAL_COLUMNS.index("stall")
-    counts = np.concatenate(
-        [machine[:, :NUM_W_BUCKETS], machine[:, [idle]],
-         machine[:, [stall]]], axis=1)
-    cycles = counts.sum(axis=1, keepdims=True)
-    cycles[cycles == 0] = 1.0
-    fractions = counts / cycles
-    labels = session.w_labels() + ["idle", "stall"]
-    top = len(_SHADES) - 1
-    lines = []
-    for category in range(fractions.shape[1] - 1, -1, -1):
-        glyphs = "".join(
-            _SHADES[min(top, int(value * top + 0.5))]
-            for value in fractions[:, category])
-        lines.append(f"{labels[category]:>7} |{glyphs}|")
+    columns = list(range(NUM_W_BUCKETS)) + [INTERVAL_COLUMNS.index("idle"),
+                                            INTERVAL_COLUMNS.index("stall")]
+    lines = _stacked_rows(machine[:, columns],
+                          session.w_labels() + ["idle", "stall"],
+                          max_intervals)
     attribution = session.stall_attribution()
     lines.append(f"{'':>7}  interval = {session.interval} cycles; "
                  f"idle by cause: "
                  + ", ".join(f"{cause}={attribution[cause]}"
-                             for cause in ("dram_pending", "issue_port",
-                                           "barrier", "drained")))
+                             for cause in IDLE_CAUSES))
     lines.append(f"{'':>7}  stall by cause: "
                  + ", ".join(f"{cause}={attribution[cause]}"
-                             for cause in ("bank_conflict",
-                                           "spawn_conflict")))
+                             for cause in STALL_CAUSES))
     return "\n".join(lines)

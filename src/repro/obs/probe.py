@@ -1,13 +1,14 @@
-"""Probe protocol and trace session: structured simulator observability.
+"""Per-SM probes and the trace session: structured simulator observability.
 
 A :class:`TraceSession` attaches one :class:`SMProbe` to every SM of a
 :class:`~repro.simt.gpu.GPU` (pass ``trace=session`` to the constructor,
 or ``probes=...`` to :func:`repro.api.simulate`). The simulator emits
 structured events into the probes from its issue path, warp scheduler,
 spawn unit (LUT / partial-warp pool / new-warp FIFO), and DRAM coalescer;
-the probes accumulate them into per-interval numpy buffers
-(:mod:`repro.obs.interval`) and a bounded event list for timeline export
-(:mod:`repro.obs.export`).
+the probes accumulate them into per-interval tables
+(:class:`~repro.simt.stats.WindowCounters`, the same plain-int window
+table as the divergence sampler) and a bounded event list for timeline
+export (:mod:`repro.obs.export`).
 
 Contracts (enforced by ``tests/obs/``):
 
@@ -37,7 +38,6 @@ counters by cause:
 from __future__ import annotations
 
 import heapq
-from typing import Protocol
 
 import numpy as np
 
@@ -55,9 +55,8 @@ from repro.obs.constants import (
     WAIT_DRAM,
     WAIT_PIPE,
 )
-from repro.obs.interval import IntervalBuffer, summed
 from repro.simt.executor import ISSUE_KINDS
-from repro.simt.stats import NUM_W_BUCKETS, _lanes_per_bucket, w_labels
+from repro.simt.stats import NUM_W_BUCKETS, WindowCounters, w_bucket, w_labels
 
 #: Per-interval metric columns accumulated by every SM probe. The first
 #: NUM_W_BUCKETS columns are the W-bucket issue histogram (paper Figs.
@@ -78,47 +77,37 @@ INTERVAL_COLUMNS = (
 DRAM_COLUMNS = ("read_segments", "write_segments")
 
 
-class Probe(Protocol):
-    """What the simulator expects from an attached per-SM probe.
-
-    ``SM.step`` drives ``on_cycle``/``on_idle``/``on_stall`` (per stepped
-    cycle) and ``SM.credit_skipped`` the ``*_span`` variants (per
-    fast-forwarded span); the issue path drives ``on_issue``/``on_spawn``
-    and the admission/retirement paths ``on_warp_launch``/
-    ``on_warp_retire``. The spawn unit calls ``on_warp_formed``/
-    ``on_partial_flush`` when its FIFO/pool change.
-    """
-
-    def on_cycle(self, cycle: int, occupancy: int, pool_threads: int,
-                 fifo_warps: int) -> None: ...
-
-    def on_cycle_span(self, start: int, stop: int, occupancy: int,
-                      pool_threads: int, fifo_warps: int) -> None: ...
-
-    def on_issue(self, cycle: int, active: int, kind: str) -> None: ...
-
-    def on_idle(self, cycle: int, cause: str) -> None: ...
-
-    def on_stall(self, cycle: int, cause: str) -> None: ...
-
-    def on_idle_span(self, start: int, stop: int, cause: str) -> None: ...
-
-    def on_stall_span(self, start: int, stop: int, cause: str) -> None: ...
-
-    def on_spawn(self, cycle: int, kernel_name: str, threads: int) -> None: ...
-
-    def on_warp_formed(self, kernel_name: str, threads: int) -> None: ...
-
-    def on_partial_flush(self, kernel_name: str, threads: int) -> None: ...
-
-    def on_warp_launch(self, cycle: int, warp) -> None: ...
-
-    def on_warp_retire(self, cycle: int, warp) -> None: ...
+#: Column indices the probe hooks write.
+_COLUMN = {name: index for index, name in enumerate(INTERVAL_COLUMNS)}
+_ISSUED = _COLUMN["issued"]
+_COMMITTED = _COLUMN["committed"]
+_IDLE = _COLUMN["idle"]
+_STALL = _COLUMN["stall"]
+_OCCUPANCY = _COLUMN["occupancy_warp_cycles"]
+_POOL = _COLUMN["pool_thread_cycles"]
+_FIFO = _COLUMN["fifo_warp_cycles"]
+_SPAWNED = _COLUMN["threads_spawned"]
+_FORMED = _COLUMN["warps_formed"]
+_FLUSHED = _COLUMN["warps_flushed"]
+_LAUNCHED = _COLUMN["warps_launched"]
+_RETIRED = _COLUMN["warps_retired"]
+_KIND = {kind: _COLUMN[f"kind_{kind}"] for kind in ISSUE_KINDS}
+_STALL_CAUSE = {cause: _COLUMN[f"stall_{cause}"] for cause in STALL_CAUSES}
+_IDLE_CAUSE = {cause: _COLUMN[f"idle_{cause}"] for cause in IDLE_CAUSES}
 
 
 class SMProbe:
     """Interval accumulation plus event emission for one SM.
 
+    The simulator drives these hooks, each guarded by ``if probe is not
+    None``: ``SM.step`` calls ``on_cycle``/``on_idle``/``on_stall`` once per
+    stepped cycle and ``SM.credit_skipped`` the ``*_span`` variants once
+    per fast-forwarded span; the issue path calls ``on_issue``/``on_spawn``
+    and warp admission and retirement ``on_warp_launch``/
+    ``on_warp_retire``; the spawn unit calls ``on_warp_formed``/
+    ``on_partial_flush`` when its FIFO or pool changes.
+
+    ``intervals`` holds one row of :data:`INTERVAL_COLUMNS` per interval.
     Events are compact tuples (see :mod:`repro.obs.export` for the
     schema); warp lifetimes are assembled at retirement so each warp costs
     one event, and chrome-trace rows (``tid``) reuse freed warp slots via
@@ -128,28 +117,11 @@ class SMProbe:
     def __init__(self, session: "TraceSession", sm_id: int, warp_size: int):
         self.session = session
         self.sm_id = sm_id
-        self.intervals = IntervalBuffer(session.interval, INTERVAL_COLUMNS)
+        self.warp_size = warp_size
+        self.intervals = WindowCounters(session.interval,
+                                        len(INTERVAL_COLUMNS))
         self.events: list[tuple] = []
         self.cycle = 0
-        self._per_bucket = _lanes_per_bucket(warp_size)
-        col = self.intervals.col
-        self._col_issued = col["issued"]
-        self._col_committed = col["committed"]
-        self._col_idle = col["idle"]
-        self._col_stall = col["stall"]
-        self._col_occupancy = col["occupancy_warp_cycles"]
-        self._col_pool = col["pool_thread_cycles"]
-        self._col_fifo = col["fifo_warp_cycles"]
-        self._col_spawned = col["threads_spawned"]
-        self._col_formed = col["warps_formed"]
-        self._col_flushed = col["warps_flushed"]
-        self._col_launched = col["warps_launched"]
-        self._col_retired = col["warps_retired"]
-        self._kind_col = {kind: col[f"kind_{kind}"] for kind in ISSUE_KINDS}
-        self._stall_col = {cause: col[f"stall_{cause}"]
-                           for cause in STALL_CAUSES}
-        self._idle_col = {cause: col[f"idle_{cause}"]
-                          for cause in IDLE_CAUSES}
         self._open: dict[int, tuple[int, int, str, bool, int]] = {}
         self._free_slots: list[int] = []
         self._next_slot = 0
@@ -159,77 +131,66 @@ class SMProbe:
     def on_cycle(self, cycle: int, occupancy: int, pool_threads: int,
                  fifo_warps: int) -> None:
         self.cycle = cycle
-        row = self.intervals.row_for(cycle)
-        data = self.intervals.data
-        data[row, self._col_occupancy] += occupancy
-        if pool_threads:
-            data[row, self._col_pool] += pool_threads
-        if fifo_warps:
-            data[row, self._col_fifo] += fifo_warps
+        row = self.intervals.row(cycle)
+        row[_OCCUPANCY] += occupancy
+        row[_POOL] += pool_threads
+        row[_FIFO] += fifo_warps
 
     def on_cycle_span(self, start: int, stop: int, occupancy: int,
                       pool_threads: int, fifo_warps: int) -> None:
         self.cycle = stop - 1
         intervals = self.intervals
-        intervals.add_span(start, stop, self._col_occupancy, occupancy)
-        if pool_threads:
-            intervals.add_span(start, stop, self._col_pool, pool_threads)
-        if fifo_warps:
-            intervals.add_span(start, stop, self._col_fifo, fifo_warps)
+        intervals.add_span(start, stop, _OCCUPANCY, occupancy)
+        intervals.add_span(start, stop, _POOL, pool_threads)
+        intervals.add_span(start, stop, _FIFO, fifo_warps)
 
     def on_issue(self, cycle: int, active: int, kind: str) -> None:
-        bucket = (active - 1) // self._per_bucket
-        if bucket >= NUM_W_BUCKETS:
-            bucket = NUM_W_BUCKETS - 1
-        row = self.intervals.row_for(cycle)
-        data = self.intervals.data
-        data[row, bucket] += 1  # W columns occupy indices 0..NUM_W_BUCKETS-1
-        data[row, self._col_issued] += 1
-        data[row, self._col_committed] += active
-        data[row, self._kind_col[kind]] += 1
+        row = self.intervals.row(cycle)
+        row[w_bucket(active, self.warp_size)] += 1  # W columns come first
+        row[_ISSUED] += 1
+        row[_COMMITTED] += active
+        row[_KIND[kind]] += 1
 
     def on_idle(self, cycle: int, cause: str) -> None:
-        row = self.intervals.row_for(cycle)
-        data = self.intervals.data
-        data[row, self._col_idle] += 1
-        data[row, self._idle_col[cause]] += 1
+        row = self.intervals.row(cycle)
+        row[_IDLE] += 1
+        row[_IDLE_CAUSE[cause]] += 1
 
     def on_stall(self, cycle: int, cause: str) -> None:
-        row = self.intervals.row_for(cycle)
-        data = self.intervals.data
-        data[row, self._col_stall] += 1
-        data[row, self._stall_col[cause]] += 1
+        row = self.intervals.row(cycle)
+        row[_STALL] += 1
+        row[_STALL_CAUSE[cause]] += 1
 
     def on_idle_span(self, start: int, stop: int, cause: str) -> None:
-        self.intervals.add_span(start, stop, self._col_idle)
-        self.intervals.add_span(start, stop, self._idle_col[cause])
+        self.intervals.add_span(start, stop, _IDLE)
+        self.intervals.add_span(start, stop, _IDLE_CAUSE[cause])
 
     def on_stall_span(self, start: int, stop: int, cause: str) -> None:
-        self.intervals.add_span(start, stop, self._col_stall)
-        self.intervals.add_span(start, stop, self._stall_col[cause])
+        self.intervals.add_span(start, stop, _STALL)
+        self.intervals.add_span(start, stop, _STALL_CAUSE[cause])
 
     # -- structured events ---------------------------------------------------
 
     def on_spawn(self, cycle: int, kernel_name: str, threads: int) -> None:
-        self.intervals.add(cycle, self._col_spawned, threads)
+        self.intervals.row(cycle)[_SPAWNED] += threads
         if self.session.admit_event():
             self.events.append(("spawn", self.sm_id, cycle, kernel_name,
                                 threads))
 
     def on_warp_formed(self, kernel_name: str, threads: int) -> None:
-        self.intervals.add(self.cycle, self._col_formed)
+        self.intervals.row(self.cycle)[_FORMED] += 1
         if self.session.admit_event():
             self.events.append(("formed", self.sm_id, self.cycle,
                                 kernel_name, threads))
 
     def on_partial_flush(self, kernel_name: str, threads: int) -> None:
-        self.intervals.add(self.cycle, self._col_flushed)
+        self.intervals.row(self.cycle)[_FLUSHED] += 1
         if self.session.admit_event():
             self.events.append(("flush", self.sm_id, self.cycle,
                                 kernel_name, threads))
 
     def on_warp_launch(self, cycle: int, warp) -> None:
-        self.intervals.add(cycle, self._col_launched)
+        self.intervals.row(cycle)[_LAUNCHED] += 1
         if self._free_slots:
             slot = heapq.heappop(self._free_slots)
         else:
@@ -240,7 +201,7 @@ class SMProbe:
                                     int(warp.active_at_launch.sum()))
 
     def on_warp_retire(self, cycle: int, warp) -> None:
-        self.intervals.add(cycle, self._col_retired)
+        self.intervals.row(cycle)[_RETIRED] += 1
         info = self._open.pop(warp.warp_id, None)
         if info is None:
             return
@@ -275,7 +236,7 @@ class TraceSession:
         self.events_enabled = events
         self.max_events = int(max_events)
         self.sms: list[SMProbe] = []
-        self.dram = IntervalBuffer(self.interval, DRAM_COLUMNS)
+        self.dram = WindowCounters(self.interval, len(DRAM_COLUMNS))
         self.dropped_events = 0
         self._admitted = 0
         self.warp_size: int | None = None
@@ -316,7 +277,7 @@ class TraceSession:
                        is_store: bool) -> None:
         # DRAM_COLUMNS order is (read, write), so the store flag is the
         # column index.
-        self.dram.add(cycle, int(is_store), segments)
+        self.dram.row(cycle)[int(is_store)] += segments
 
     def finalize(self, cycles: int) -> None:
         if self._finalized:
@@ -334,13 +295,15 @@ class TraceSession:
 
     def machine_intervals(self) -> np.ndarray:
         """Per-interval metrics summed over all SMs (rows x columns)."""
-        return summed([probe.intervals for probe in self.sms],
-                      INTERVAL_COLUMNS, self.interval)
+        machine = WindowCounters(self.interval, len(INTERVAL_COLUMNS))
+        for probe in self.sms:
+            machine.merge(probe.intervals)
+        return machine.array()
 
     def interval_rows(self) -> list[dict]:
         """One dict per interval: machine metrics plus DRAM segments."""
         machine = self.machine_intervals()
-        dram = self.dram.trimmed()
+        dram = self.dram.array()
         rows = []
         for index in range(max(machine.shape[0], dram.shape[0])):
             row = {"interval": index, "start_cycle": index * self.interval}
@@ -360,19 +323,13 @@ class TraceSession:
         ``sum(stall causes) == stall_cycles`` and
         ``sum(idle causes) == idle_cycles``.
         """
-        totals: dict[str, int] = {"idle_cycles": 0, "stall_cycles": 0}
+        sums = self.machine_intervals().sum(axis=0)
+        totals = {"idle_cycles": int(sums[_IDLE]),
+                  "stall_cycles": int(sums[_STALL])}
         for cause in STALL_CAUSES:
-            totals[cause] = 0
+            totals[cause] = int(sums[_STALL_CAUSE[cause]])
         for cause in IDLE_CAUSES:
-            totals[cause] = 0
-        for probe in self.sms:
-            sums = probe.intervals.totals()
-            totals["idle_cycles"] += sums["idle"]
-            totals["stall_cycles"] += sums["stall"]
-            for cause in STALL_CAUSES:
-                totals[cause] += sums[f"stall_{cause}"]
-            for cause in IDLE_CAUSES:
-                totals[cause] += sums[f"idle_{cause}"]
+            totals[cause] = int(sums[_IDLE_CAUSE[cause]])
         return totals
 
     def w_labels(self) -> list[str]:
@@ -388,6 +345,5 @@ class TraceSession:
             "intervals": int(machine.shape[0]),
             "events": self.num_events,
             "dropped_events": self.dropped_events,
-            "issued": int(machine[:, INTERVAL_COLUMNS.index("issued")].sum())
-            if machine.size else 0,
+            "issued": int(machine[:, _ISSUED].sum()),
         }

@@ -231,6 +231,10 @@ def retry_from_wire(record: dict) -> RetryPolicy:
 
 
 def request_from_wire(record: dict) -> SweepRequest:
+    """Decode a request record; any schema but ``WIRE_SCHEMA`` is refused."""
+    schema = record.get("schema")
+    if schema != WIRE_SCHEMA:
+        raise ConfigError(f"not a {WIRE_SCHEMA} record: schema={schema!r}")
     kind = record.get("kind")
     body = {key: value for key, value in record.items()
             if key not in ("schema", "kind")}

@@ -1,6 +1,10 @@
-"""Simulation statistics: IPC, divergence breakdown, traffic counters.
+"""Simulation statistics: windowed counters, divergence histogram, SM totals.
 
-The divergence breakdown reproduces the AerialVision plots of Figures 3, 7
+Time series over simulated cycles live in :class:`WindowCounters`: one
+fixed-width row of plain ints per window of cycles. The divergence sampler
+and every probe table (:mod:`repro.obs.probe`) are such tables.
+
+The divergence histogram reproduces the AerialVision plots of Figures 3, 7
 and 9: every issued warp instruction is classified by how many of its
 ``warp_size`` lanes were active, into buckets W1:4, W5:8, ..., W29:32.
 Together with idle (no issue) and stall (issue port blocked by bank-conflict
@@ -9,12 +13,16 @@ serialization) cycles this gives the paper's 10 categories.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 #: Number of active-lane buckets (paper's W1:4 ... W29:32 for 32-wide warps).
 NUM_W_BUCKETS = 8
+
+#: Divergence sampler columns after the W buckets.
+_IDLE = NUM_W_BUCKETS
+_STALL = NUM_W_BUCKETS + 1
 
 
 def _lanes_per_bucket(warp_size: int) -> int:
@@ -62,113 +70,186 @@ def w_labels(warp_size: int = 32) -> list[str]:
 W_CATEGORIES = w_labels()
 
 
-@dataclass
-class DivergenceSampler:
-    """Time-bucketed warp-occupancy histogram.
+def row_fractions(counts: np.ndarray) -> np.ndarray:
+    """Each row of a count table divided by its sum (zero rows stay 0)."""
+    counts = np.asarray(counts, dtype=np.float64)
+    sums = counts.sum(axis=1, keepdims=True)
+    return counts / np.where(sums == 0, 1.0, sums)
 
-    ``window`` cycles per time bucket; each issue adds to the bucket of its
-    cycle. ``idle`` counts cycles with no issue; ``stall`` counts cycles the
-    issue port was blocked (bank-conflict serialization).
+
+class WindowCounters:
+    """Plain-int counters over simulated time: one row per window.
+
+    ``rows`` holds one ``[0] * width`` list per ``window`` cycles, grown on
+    demand. Rows are plain lists, not numpy arrays, because the simulator
+    increments one element per cycle, which is several times cheaper on a
+    list. ``rows`` is only ever appended to, so a caller may hold it across
+    a :meth:`row` call.
     """
 
-    warp_size: int = 32
-    window: int = 1000
-    #: One plain-int row of ``NUM_W_BUCKETS`` counters per time window.
-    #: Plain lists, not numpy arrays: the hot path increments a single
-    #: element per issued instruction, which is ~10x cheaper on a list.
-    issues: list[list[int]] = field(default_factory=list)
-    idle: list[int] = field(default_factory=list)
-    stall: list[int] = field(default_factory=list)
+    __slots__ = ("window", "width", "rows")
 
-    def __post_init__(self) -> None:
-        self._per_bucket = _lanes_per_bucket(self.warp_size)
+    def __init__(self, window: int, width: int):
+        if window <= 0:
+            raise ValueError("window must be positive")
+        if width <= 0:
+            raise ValueError("width must be positive")
+        self.window = int(window)
+        self.width = int(width)
+        self.rows: list[list[int]] = []
 
-    def _bucket_for(self, cycle: int) -> int:
+    def row(self, cycle: int) -> list[int]:
+        """The row of ``cycle``'s window, extending ``rows`` up to it."""
         index = cycle // self.window
-        while len(self.issues) <= index:
-            self.issues.append([0] * NUM_W_BUCKETS)
-            self.idle.append(0)
-            self.stall.append(0)
-        return index
+        rows = self.rows
+        while len(rows) <= index:
+            rows.append([0] * self.width)
+        return rows[index]
+
+    def add_span(self, start: int, stop: int, column: int,
+                 weight: int = 1) -> None:
+        """Add ``weight`` to ``column`` for every cycle of [start, stop).
+
+        Equal to ``row(cycle)[column] += weight`` for each cycle of the
+        span, without the loop, so the fast clock's span credits match the
+        exact clock's per-cycle adds.
+        """
+        if stop <= start:
+            return
+        window = self.window
+        first = start // window
+        last = (stop - 1) // window
+        rows = self.rows
+        if last >= len(rows):
+            self.row(stop - 1)
+        if first == last:
+            rows[first][column] += (stop - start) * weight
+            return
+        rows[first][column] += ((first + 1) * window - start) * weight
+        for index in range(first + 1, last):
+            rows[index][column] += window * weight
+        rows[last][column] += (stop - last * window) * weight
+
+    def merge(self, other: "WindowCounters") -> None:
+        """Add another table of the same window and width into this one."""
+        if other.window != self.window or other.width != self.width:
+            raise ValueError(
+                f"cannot merge {other.window}-cycle x {other.width} counters "
+                f"into {self.window}-cycle x {self.width} counters")
+        if other.rows:
+            self.row((len(other.rows) - 1) * self.window)
+        for mine, theirs in zip(self.rows, other.rows):
+            for column, count in enumerate(theirs):
+                mine[column] += count
+
+    def totals(self) -> list[int]:
+        """Whole-run sum of every column."""
+        sums = [0] * self.width
+        for row in self.rows:
+            for column, count in enumerate(row):
+                sums[column] += count
+        return sums
+
+    def array(self) -> np.ndarray:
+        """The rows as an int64 (windows x width) array (a copy)."""
+        return np.array(self.rows, dtype=np.int64).reshape(-1, self.width)
+
+
+class DivergenceSampler(WindowCounters):
+    """Time-bucketed warp-occupancy histogram (Figures 3, 7 and 9).
+
+    A :class:`WindowCounters` of ``window`` cycles per row whose columns
+    are the W buckets, then idle (cycles with no issue) and stall (cycles
+    the issue port was blocked by bank-conflict serialization).
+    """
+
+    __slots__ = ("warp_size", "_per_bucket")
+
+    def __init__(self, warp_size: int = 32, window: int = 1000):
+        super().__init__(window, NUM_W_BUCKETS + 2)
+        self.warp_size = warp_size
+        self._per_bucket = _lanes_per_bucket(warp_size)
+
+    # -- recording (hot path: one row increment each) -------------------------
 
     def record_issue(self, cycle: int, active: int) -> None:
-        # Inlined w_bucket and window lookup (hot path): the executor
-        # guarantees 1 <= active <= warp_size for every issued instruction.
+        # Inlined w_bucket: the executor guarantees
+        # 1 <= active <= warp_size for every issued instruction.
         bucket = (active - 1) // self._per_bucket
         if bucket >= NUM_W_BUCKETS:
             bucket = NUM_W_BUCKETS - 1
-        issues = self.issues
+        rows = self.rows
         index = cycle // self.window
-        if index >= len(issues):
-            self._bucket_for(cycle)
-        issues[index][bucket] += 1
+        if index >= len(rows):
+            self.row(cycle)
+        rows[index][bucket] += 1
 
     def record_idle(self, cycle: int) -> None:
-        self.idle[self._bucket_for(cycle)] += 1
+        rows = self.rows
+        index = cycle // self.window
+        if index >= len(rows):
+            self.row(cycle)
+        rows[index][_IDLE] += 1
 
     def record_stall(self, cycle: int) -> None:
-        self.stall[self._bucket_for(cycle)] += 1
-
-    def _record_span(self, counters: list[int], start: int, stop: int) -> None:
-        """Add one count per cycle of [start, stop) to ``counters``,
-        split across time windows — equivalent to calling the per-cycle
-        recorder once for every skipped cycle, without the loop."""
-        if stop <= start:
-            return
-        self._bucket_for(stop - 1)  # extend lists once
-        window = self.window
-        index = start // window
-        if (stop - 1) // window == index:  # common case: one window
-            counters[index] += stop - start
-            return
-        cycle = start
-        while cycle < stop:
-            window_end = (index + 1) * window
-            count = min(stop, window_end) - cycle
-            counters[index] += count
-            cycle += count
-            index += 1
+        rows = self.rows
+        index = cycle // self.window
+        if index >= len(rows):
+            self.row(cycle)
+        rows[index][_STALL] += 1
 
     def record_idle_span(self, start: int, stop: int) -> None:
         """Credit every cycle of [start, stop) as idle (fast-forward)."""
-        self._record_span(self.idle, start, stop)
+        self.add_span(start, stop, _IDLE)
 
     def record_stall_span(self, start: int, stop: int) -> None:
         """Credit every cycle of [start, stop) as stalled (fast-forward)."""
-        self._record_span(self.stall, start, stop)
+        self.add_span(start, stop, _STALL)
+
+    # -- the RunStats document ------------------------------------------------
+
+    @property
+    def issues(self) -> list[list[int]]:
+        """Per-window W-bucket issue counts."""
+        return [row[:NUM_W_BUCKETS] for row in self.rows]
+
+    @property
+    def idle(self) -> list[int]:
+        """Per-window idle cycles."""
+        return [row[_IDLE] for row in self.rows]
+
+    @property
+    def stall(self) -> list[int]:
+        """Per-window stall cycles."""
+        return [row[_STALL] for row in self.rows]
 
     def to_dict(self) -> dict:
         """JSON-compatible snapshot (inverse of :meth:`from_dict`)."""
         return {
             "warp_size": self.warp_size,
             "window": self.window,
-            "issues": [list(row) for row in self.issues],
-            "idle": list(self.idle),
-            "stall": list(self.stall),
+            "issues": self.issues,
+            "idle": self.idle,
+            "stall": self.stall,
         }
 
     @staticmethod
     def from_dict(data: dict) -> "DivergenceSampler":
-        return DivergenceSampler(
-            warp_size=data["warp_size"], window=data["window"],
-            issues=[list(row) for row in data["issues"]],
-            idle=list(data["idle"]), stall=list(data["stall"]))
+        sampler = DivergenceSampler(warp_size=data["warp_size"],
+                                    window=data["window"])
+        sampler.rows = [list(issues) + [idle, stall] for issues, idle, stall
+                        in zip(data["issues"], data["idle"], data["stall"])]
+        return sampler
 
-    def merge(self, other: "DivergenceSampler") -> None:
-        """Accumulate another sampler (e.g. from a different SM)."""
-        for index in range(len(other.issues)):
-            self._bucket_for(index * self.window)
-            mine = self.issues[index]
-            for bucket, count in enumerate(other.issues[index]):
-                mine[bucket] += count
-            self.idle[index] += other.idle[index]
-            self.stall[index] += other.stall[index]
+    # -- reading --------------------------------------------------------------
+
+    def labels(self) -> list[str]:
+        """Column labels: the W buckets, then idle and stall."""
+        return w_labels(self.warp_size) + ["idle", "stall"]
 
     def totals(self) -> np.ndarray:
         """Whole-run issue counts per W bucket."""
-        if not self.issues:
-            return np.zeros(NUM_W_BUCKETS, dtype=np.int64)
-        return np.sum(np.asarray(self.issues, dtype=np.int64), axis=0)
+        return np.array(super().totals()[:NUM_W_BUCKETS], dtype=np.int64)
 
     def fractions_over_time(self) -> np.ndarray:
         """(num_windows, NUM_W_BUCKETS+2) rows: [W buckets..., idle, stall].
@@ -176,29 +257,39 @@ class DivergenceSampler:
         Each row is normalized by its window's total cycles accounted, so
         rows are directly comparable to the AerialVision stacked plots.
         """
-        rows = []
-        for index in range(len(self.issues)):
-            counts = np.asarray(
-                self.issues[index] + [self.idle[index], self.stall[index]],
-                dtype=np.float64)
-            total = counts.sum()
-            rows.append(counts / total if total else counts)
-        if not rows:
-            return np.zeros((0, NUM_W_BUCKETS + 2))
-        return np.stack(rows)
+        return row_fractions(self.array())
 
     def mean_active_lanes(self) -> float:
         """Average active lanes per issued instruction (bucket midpoints)."""
         totals = self.totals()
         if totals.sum() == 0:
             return 0.0
-        per_bucket = _lanes_per_bucket(self.warp_size)
+        per_bucket = self._per_bucket
         midpoints = np.array([
             (b * per_bucket + 1
              + max(b * per_bucket + 1,
                    min((b + 1) * per_bucket, self.warp_size))) / 2.0
             for b in range(NUM_W_BUCKETS)])
         return float((totals * midpoints).sum() / totals.sum())
+
+    def category_share(self, label: str) -> float:
+        """Whole-run issue share of one W category."""
+        totals = self.totals()
+        total = totals.sum()
+        index = w_labels(self.warp_size).index(label)
+        return float(totals[index] / total) if total else 0.0
+
+    def high_occupancy_share(self, buckets: int = 2) -> float:
+        """Issue share of the top ``buckets`` occupancy categories."""
+        totals = self.totals()
+        total = totals.sum()
+        return float(totals[-buckets:].sum() / total) if total else 0.0
+
+    def low_occupancy_share(self, buckets: int = 2) -> float:
+        """Issue share of the bottom ``buckets`` occupancy categories."""
+        totals = self.totals()
+        total = totals.sum()
+        return float(totals[:buckets].sum() / total) if total else 0.0
 
 
 @dataclass

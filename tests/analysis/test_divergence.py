@@ -1,78 +1,69 @@
-"""Divergence breakdown (Figures 3/7/9 data) tests."""
+"""Divergence breakdown (Figures 3/7/9 data) tests: the sampler's read
+methods and the stacked chart."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.divergence import (
-    DivergenceBreakdown,
-    breakdown_from_stats,
-    render_breakdown,
-)
+from repro.analysis.divergence import render_breakdown
 from repro.simt.stats import NUM_W_BUCKETS, DivergenceSampler
 
 
-def breakdown_with(issues):
+def sampler_with(issues):
     sampler = DivergenceSampler(window=100)
     for cycle, active in issues:
         sampler.record_issue(cycle, active)
-    stats = type("S", (), {"divergence": sampler})()
-    return breakdown_from_stats(stats)
+    return sampler
 
 
 class TestBreakdown:
     def test_labels(self):
-        breakdown = breakdown_with([(0, 32)])
-        assert breakdown.labels[0] == "W1:4"
-        assert breakdown.labels[NUM_W_BUCKETS - 1] == "W29:32"
-        assert breakdown.labels[-2:] == ("idle", "stall")
+        labels = sampler_with([(0, 32)]).labels()
+        assert labels[0] == "W1:4"
+        assert labels[NUM_W_BUCKETS - 1] == "W29:32"
+        assert labels[-2:] == ["idle", "stall"]
 
     def test_category_share(self):
-        breakdown = breakdown_with([(0, 32), (1, 32), (2, 2)])
-        assert breakdown.category_share("W29:32") == pytest.approx(2 / 3)
-        assert breakdown.category_share("W1:4") == pytest.approx(1 / 3)
+        sampler = sampler_with([(0, 32), (1, 32), (2, 2)])
+        assert sampler.category_share("W29:32") == pytest.approx(2 / 3)
+        assert sampler.category_share("W1:4") == pytest.approx(1 / 3)
 
     def test_high_low_occupancy_shares(self):
-        breakdown = breakdown_with([(0, 32), (1, 1), (2, 1), (3, 1)])
-        assert breakdown.high_occupancy_share() == pytest.approx(0.25)
-        assert breakdown.low_occupancy_share() == pytest.approx(0.75)
+        sampler = sampler_with([(0, 32), (1, 1), (2, 1), (3, 1)])
+        assert sampler.high_occupancy_share() == pytest.approx(0.25)
+        assert sampler.low_occupancy_share() == pytest.approx(0.75)
 
     def test_empty(self):
-        breakdown = breakdown_with([])
-        assert breakdown.num_windows == 0
-        assert breakdown.category_share("W1:4") == 0.0
-        assert breakdown.high_occupancy_share() == 0.0
+        sampler = sampler_with([])
+        assert len(sampler.rows) == 0
+        assert sampler.category_share("W1:4") == 0.0
+        assert sampler.high_occupancy_share() == 0.0
 
     def test_windows(self):
-        breakdown = breakdown_with([(0, 16), (150, 16), (250, 16)])
-        assert breakdown.num_windows == 3
+        sampler = sampler_with([(0, 16), (150, 16), (250, 16)])
+        assert len(sampler.rows) == 3
 
 
 class TestRender:
     def test_render_contains_labels(self):
-        breakdown = breakdown_with([(0, 32), (1, 4)])
-        text = render_breakdown(breakdown)
+        text = render_breakdown(sampler_with([(0, 32), (1, 4)]))
         assert "W29:32" in text
         assert "W1:4" in text
         assert "mean active lanes" in text
 
     def test_render_downsamples(self):
         issues = [(cycle, 32) for cycle in range(0, 100_000, 100)]
-        breakdown = breakdown_with(issues)
-        text = render_breakdown(breakdown, max_windows=10)
+        text = render_breakdown(sampler_with(issues), max_windows=10)
         first_row = text.splitlines()[0]
         assert len(first_row) < 60
 
     def test_render_empty(self):
-        breakdown = breakdown_with([])
-        assert "W1:4" in render_breakdown(breakdown)
+        assert "W1:4" in render_breakdown(sampler_with([]))
 
     def test_include_idle_rows(self):
         sampler = DivergenceSampler(window=10)
         sampler.record_issue(0, 8)
         sampler.record_idle(1)
-        stats = type("S", (), {"divergence": sampler})()
-        breakdown = breakdown_from_stats(stats)
-        text = render_breakdown(breakdown, include_idle=True)
+        text = render_breakdown(sampler, include_idle=True)
         assert "idle" in text
 
 
@@ -88,9 +79,9 @@ class TestFromSimulation:
                   traditional_launch_spec(origins.shape[0]),
                   image.global_mem, image.const_mem, divergence_window=500)
         stats = gpu.run()
-        breakdown = breakdown_from_stats(stats)
-        assert breakdown.totals.sum() == stats.sm_stats.issued_instructions
-        assert 1.0 <= breakdown.mean_active_lanes <= 32.0
+        sampler = stats.divergence
+        assert sampler.totals().sum() == stats.sm_stats.issued_instructions
+        assert 1.0 <= sampler.mean_active_lanes() <= 32.0
         # Fractions rows normalized.
-        if breakdown.num_windows:
-            assert np.all(breakdown.fractions <= 1.0)
+        if sampler.rows:
+            assert np.all(sampler.fractions_over_time() <= 1.0)

@@ -2,15 +2,9 @@
 
 import csv
 
-import numpy as np
 import pytest
 
-from repro.analysis.divergence import DivergenceBreakdown, breakdown_from_stats
-from repro.analysis.export import (
-    write_breakdown_csv,
-    write_rows_csv,
-    write_series_csv,
-)
+from repro.analysis.export import write_breakdown_csv, write_rows_csv
 from repro.simt.stats import NUM_W_BUCKETS, DivergenceSampler
 
 
@@ -47,40 +41,25 @@ class TestRowsCSV:
 
 
 class TestBreakdownCSV:
-    def make_breakdown(self):
+    def make_sampler(self):
         sampler = DivergenceSampler(window=100)
         sampler.record_issue(0, 32)
         sampler.record_issue(150, 4)
         sampler.record_idle(160)
-        stats = type("S", (), {"divergence": sampler})()
-        return breakdown_from_stats(stats)
+        return sampler
 
     def test_header_and_rows(self, tmp_path):
-        breakdown = self.make_breakdown()
-        path = write_breakdown_csv(tmp_path / "b.csv", breakdown)
+        sampler = self.make_sampler()
+        path = write_breakdown_csv(tmp_path / "b.csv", sampler)
         data = read_csv(path)
         assert data[0][0] == "window_start_cycle"
         assert len(data[0]) == 1 + NUM_W_BUCKETS + 2
-        assert len(data) == 1 + breakdown.num_windows
+        assert len(data) == 1 + len(sampler.rows)
         assert data[1][0] == "0"
         assert data[2][0] == "100"
 
     def test_fractions_sum_to_one(self, tmp_path):
-        breakdown = self.make_breakdown()
-        path = write_breakdown_csv(tmp_path / "b.csv", breakdown)
+        path = write_breakdown_csv(tmp_path / "b.csv", self.make_sampler())
         data = read_csv(path)
         for row in data[1:]:
             assert sum(float(v) for v in row[1:]) == pytest.approx(1.0)
-
-
-class TestSeriesCSV:
-    def test_basic(self, tmp_path):
-        path = write_series_csv(tmp_path / "s.csv", "mrays",
-                                ["pdom", "spawn"], [45.8, 73.8])
-        data = read_csv(path)
-        assert data[0] == ["label", "mrays"]
-        assert data[1] == ["pdom", "45.8"]
-
-    def test_length_mismatch(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_series_csv(tmp_path / "s.csv", "x", ["a"], [1.0, 2.0])

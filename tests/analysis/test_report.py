@@ -1,6 +1,6 @@
 """Report formatting tests."""
 
-from repro.analysis.report import format_bars, format_series, format_table
+from repro.analysis.report import format_table
 
 
 class TestFormatTable:
@@ -31,34 +31,3 @@ class TestFormatTable:
         rows = [{"name": "x", "value": 1}, {"name": "longer", "value": 22}]
         lines = format_table(rows).splitlines()
         assert len(lines[2]) == len(lines[3])
-
-
-class TestFormatSeries:
-    def test_bars_scale(self):
-        text = format_series("s", [1.0, 2.0, 4.0], width=8)
-        lines = text.splitlines()
-        assert lines[0] == "s"
-        assert lines[3].count("#") == 8
-        assert lines[1].count("#") == 2
-
-    def test_empty(self):
-        assert "empty" in format_series("s", [])
-
-    def test_zero_values(self):
-        text = format_series("s", [0.0, 0.0])
-        assert "#" not in text
-
-
-class TestFormatBars:
-    def test_labels_aligned(self):
-        text = format_bars([("short", 1.0), ("much_longer", 2.0)])
-        lines = text.splitlines()
-        assert lines[0].index("1.000") == lines[1].index("2.000")
-
-    def test_title_and_unit(self):
-        text = format_bars([("a", 1.0)], title="T", unit="M")
-        assert text.splitlines()[0] == "T"
-        assert "M" in text
-
-    def test_empty(self):
-        assert format_bars([], title="T") == "T"

@@ -73,7 +73,7 @@ class TestOracle:
         assert run_case(case).ok
 
         def idle_span_as_stall(self, start, stop):
-            self._record_span(self.stall, start, stop)
+            self.record_stall_span(start, stop)
 
         monkeypatch.setattr(DivergenceSampler, "record_idle_span",
                             idle_span_as_stall)

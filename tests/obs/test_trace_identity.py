@@ -64,7 +64,7 @@ def test_exact_equals_fast_intervals(traced):
     b = exact.trace.machine_intervals()
     assert a.shape == b.shape
     assert (a == b).all()
-    assert (fast.trace.dram.trimmed() == exact.trace.dram.trimmed()).all()
+    assert fast.trace.dram.rows == exact.trace.dram.rows
     assert fast.trace.interval_rows() == exact.trace.interval_rows()
 
 

@@ -88,6 +88,18 @@ class TestEndpoints:
             client.submit({"schema": WIRE_SCHEMA, "kind": "claim"})
         assert info.value.status == 400
 
+    @pytest.mark.parametrize("schema", ["other/9", None])
+    def test_foreign_or_missing_schema_400s(self, client, schema):
+        record = {"kind": "sweep-request", "jobs": [
+            {"scene": "conference", "mode": "spawn", "preset": "tiny"}]}
+        if schema is not None:
+            record["schema"] = schema
+        queued = len(client.jobs())
+        with pytest.raises(ServeError, match=f"schema={schema!r}") as info:
+            client.submit(record)
+        assert info.value.status == 400
+        assert len(client.jobs()) == queued
+
     def test_simulate_request_400s_naming_sweep_request(self, client):
         record = {"schema": WIRE_SCHEMA, "kind": "simulate-request",
                   "scene": "conference", "mode": "spawn", "preset": "tiny"}

@@ -116,6 +116,16 @@ class TestRequestRoundTrip:
         with pytest.raises(ConfigError, match="sweep-request"):
             wire.request_from_wire(dict(LEGACY_SIMULATE_REQUEST))
 
+    @pytest.mark.parametrize("schema", ["other/9", None])
+    def test_foreign_or_missing_schema_rejected(self, schema):
+        record = wire.request_to_wire(SweepRequest(jobs=(
+            SweepJob(scene="conference", mode="spawn", preset="tiny"),)))
+        record.pop("schema")
+        if schema is not None:
+            record["schema"] = schema
+        with pytest.raises(ConfigError, match=f"schema={schema!r}"):
+            wire.request_from_wire(record)
+
     def test_empty_sweep_request_rejected(self):
         with pytest.raises(ConfigError, match="at least one job"):
             SweepRequest(jobs=())

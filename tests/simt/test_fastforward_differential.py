@@ -107,7 +107,7 @@ def session_fingerprint(session: TraceSession) -> dict:
     intervals, per-SM events, and the stall/idle attribution."""
     return {
         "machine": session.machine_intervals().tolist(),
-        "dram": session.dram.trimmed().tolist(),
+        "dram": session.dram.rows,
         "rows": session.interval_rows(),
         "events": [probe.events for probe in session.sms],
         "attribution": session.stall_attribution(),
